@@ -14,25 +14,10 @@
 //! attaching a recorder (a strict superset of the default no-op
 //! observer's cost) must stay within 2% of the unobserved wall-clock.
 //!
-//! The same-binary from-scratch mode understates what forking bought: it
-//! still benefits from the earlier event-loop work (inline header
-//! storage, `Arc`-shared reports, dead-timer purging). The full comparison
-//! is against the executor as it existed *before* any of that, which a
-//! single binary cannot contain — `scripts/bench_campaign.sh` measures
-//! that executor from the pinned pre-change commit and passes its
-//! wall-clock in via `SNAKE_PRE_PR_WALL_SECS`/`SNAKE_PRE_PR_COMMIT`; when
-//! set, the JSON gains a `pre_pr` block and the headline `speedup` is
-//! computed against it (falling back to the same-binary ratio otherwise).
+//! The headline `speedup` is memoized over from-scratch in the same
+//! binary.
 //!
-//! A fifth, warm-store rep runs the memoized campaign twice against one
-//! persistent memo store — cold, then warm — asserting the store is
-//! invisible to outcomes and that the warm rerun serves at least half its
-//! eligible runs from disk; the figures land in the JSON's `warm_store`
-//! block. Set `SNAKE_MEMO_STORE` to keep the store file at that path
-//! (CI's bench-smoke job archives it); by default a temp file is used and
-//! removed.
-//!
-//! A sixth rep runs a capped campaign on a generated star topology
+//! A fifth rep runs a capped campaign on a generated star topology
 //! carrying the four-role flow mix, twice, asserting run-to-run
 //! determinism at campaign scale on the multi-flow path; its throughput
 //! lands in the JSON's `multiflow` block.
@@ -72,16 +57,6 @@ fn config(
     snapshot_fork: bool,
     memoize: bool,
     observer: Option<Arc<Recorder>>,
-    memo_store: Option<&Path>,
-) -> CampaignConfig {
-    config_sharded(snapshot_fork, memoize, observer, memo_store, None)
-}
-
-fn config_sharded(
-    snapshot_fork: bool,
-    memoize: bool,
-    observer: Option<Arc<Recorder>>,
-    memo_store: Option<&Path>,
     shards: Option<(usize, &Path)>,
 ) -> CampaignConfig {
     let spec = ScenarioSpec::quick(ProtocolKind::Tcp(Profile::linux_3_13()));
@@ -105,9 +80,6 @@ fn config_sharded(
         .memoize(memoize);
     if let Some(recorder) = observer {
         builder = builder.observer(recorder);
-    }
-    if let Some(path) = memo_store {
-        builder = builder.memo_store(path);
     }
     if let Some((count, bin)) = shards {
         builder = builder.shards(count).shard_worker_bin(bin);
@@ -140,14 +112,8 @@ fn snake_bin() -> Option<PathBuf> {
 /// strategy costs one full simulation — the cleanest scaling surface.
 fn timed_sharded_once(shards: usize, bin: &Path) -> (CampaignResult, f64) {
     let start = Instant::now();
-    let result = Campaign::run(config_sharded(
-        false,
-        false,
-        None,
-        None,
-        Some((shards, bin)),
-    ))
-    .expect("valid baseline");
+    let result =
+        Campaign::run(config(false, false, None, Some((shards, bin)))).expect("valid baseline");
     (result, start.elapsed().as_secs_f64())
 }
 
@@ -189,13 +155,6 @@ fn timed_once(
         .expect("valid baseline");
     let secs = start.elapsed().as_secs_f64();
     (result, secs, recorder.map(|r| r.snapshot()))
-}
-
-/// One timed memoized campaign against the persistent store at `path`.
-fn timed_store_once(path: &Path) -> (CampaignResult, f64) {
-    let start = Instant::now();
-    let result = Campaign::run(config(true, true, None, Some(path))).expect("valid baseline");
-    (result, start.elapsed().as_secs_f64())
 }
 
 /// The multi-flow rep's scenario label, kept in one place so the printed
@@ -323,12 +282,19 @@ fn main() {
     );
 
     let n = memoized.strategies_tried() as f64;
-    let memo_hits = memoized.memo_hits as u64;
-    let short_circuits = memoized.short_circuits as u64;
+    let runs_avoided = memoized.runs_avoided as u64;
+    let marked_as = |marker: &str| {
+        memoized
+            .outcomes
+            .iter()
+            .filter(|o| o.memo.as_deref() == Some(marker))
+            .count()
+    };
+    let (inert, class) = (marked_as("inert"), marked_as("class"));
     assert!(
-        memo_hits > 0 && short_circuits > 0,
+        inert > 0 && class > 0,
         "the benchmark campaign must exercise both memoization layers \
-         ({memo_hits} memo hits, {short_circuits} short-circuits)"
+         ({inert} inert, {class} class-shared)"
     );
     // The overhead ratio divides two nearly equal wall-clocks, so it is
     // the one figure here that scheduler noise can flip past its 2%
@@ -341,66 +307,6 @@ fn main() {
         memo_secs = memo_secs.min(secs);
         let (_, secs, _) = timed_once(true, true, true);
         observed_secs = observed_secs.min(secs);
-    }
-
-    // Warm-store rep: the same memoized campaign twice against one
-    // persistent store. The store must be invisible to outcomes both
-    // cold and warm, and the warm run must serve at least half its
-    // eligible runs from disk — the cross-run contract CI gates on.
-    let (store_path, keep_store) = match std::env::var_os("SNAKE_MEMO_STORE") {
-        Some(path) => (PathBuf::from(path), true),
-        None => (
-            std::env::temp_dir().join(format!("snake-bench-store-{}.jsonl", std::process::id())),
-            false,
-        ),
-    };
-    std::fs::remove_file(&store_path).ok();
-    let (cold_store, mut cold_store_secs) = timed_store_once(&store_path);
-    let (warm_store, mut warm_store_secs) = timed_store_once(&store_path);
-    // Cold and warm do near-identical work (the store feeds counters,
-    // never verdicts — §12), so a single pair is decided by scheduler
-    // noise. Alternate two more cold/warm pairs — cold against throwaway
-    // stores, since a cold run needs an empty one — and keep each side's
-    // fastest wall-clock, mirroring timed_quad's min-of-K.
-    let cold_path = std::env::temp_dir().join(format!(
-        "snake-bench-store-cold-{}.jsonl",
-        std::process::id()
-    ));
-    for _ in 0..2 {
-        std::fs::remove_file(&cold_path).ok();
-        let (cold_rep, secs) = timed_store_once(&cold_path);
-        assert_eq!(
-            cold_rep.outcomes, cold_store.outcomes,
-            "cold reps must agree"
-        );
-        cold_store_secs = cold_store_secs.min(secs);
-        let (warm_rep, secs) = timed_store_once(&store_path);
-        assert_eq!(
-            warm_rep.outcomes, warm_store.outcomes,
-            "warm reps must agree"
-        );
-        warm_store_secs = warm_store_secs.min(secs);
-    }
-    std::fs::remove_file(&cold_path).ok();
-    assert_eq!(
-        cold_store.outcomes, memoized.outcomes,
-        "a cold persistent store must not change campaign outcomes"
-    );
-    assert_eq!(
-        warm_store.outcomes, cold_store.outcomes,
-        "a warm persistent store must not change campaign outcomes"
-    );
-    let warm_report = warm_store
-        .memo_store
-        .expect("store was configured and active");
-    assert!(
-        warm_report.hit_rate() >= 0.5,
-        "warm store rerun must serve at least half its eligible runs from \
-         disk: {warm_report:?}"
-    );
-    assert_eq!(warm_report.verdict_mismatches, 0, "{warm_report:?}");
-    if !keep_store {
-        std::fs::remove_file(&store_path).ok();
     }
 
     // Sharded rep: the from-scratch campaign at S ∈ {1, 2, 4} worker
@@ -449,17 +355,6 @@ fn main() {
             );
         }
     }
-    // Store appends are buffered and flushed at admission checkpoints, so
-    // a warm run must not be meaningfully slower than a cold one. The
-    // structural difference is microseconds on a multi-second campaign;
-    // the 5% tolerance keeps shared-runner noise from flapping the bench
-    // while still catching a reintroduced per-entry write syscall.
-    assert!(
-        cold_store_secs / warm_store_secs >= 0.95,
-        "a warm persistent store must not be slower than a cold one \
-         (cold {cold_store_secs:.3}s vs warm {warm_store_secs:.3}s)"
-    );
-
     // Multi-flow rep: the generated-topology campaign run twice, asserting
     // run-to-run determinism at full campaign scale on the star/flow-mix
     // path; the throughput lands in the JSON's `multiflow` block.
@@ -472,20 +367,9 @@ fn main() {
     let multiflow_secs = multiflow_secs_a.min(multiflow_secs_b);
     let multiflow_n = multiflow.strategies_tried() as f64;
 
-    let same_binary_speedup = scratch_secs / memo_secs;
+    let speedup = scratch_secs / memo_secs;
     let speedup_memo = forked_secs / memo_secs;
     let observer_overhead = observed_secs / memo_secs;
-    let pre_pr = std::env::var("SNAKE_PRE_PR_WALL_SECS")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(|secs| {
-            let commit = std::env::var("SNAKE_PRE_PR_COMMIT").unwrap_or_default();
-            (commit, secs)
-        });
-    let speedup = match &pre_pr {
-        Some((_, secs)) => secs / memo_secs,
-        None => same_binary_speedup,
-    };
 
     let mode_block = |result: &CampaignResult, secs: f64| {
         obj([
@@ -497,12 +381,10 @@ fn main() {
     };
     let mut memo_block = mode_block(&memoized, memo_secs);
     if let Value::Obj(pairs) = &mut memo_block {
-        pairs.push(("memo_hits".to_owned(), Value::U64(memo_hits)));
-        pairs.push(("short_circuits".to_owned(), Value::U64(short_circuits)));
-        pairs.push(("memo_hit_rate".to_owned(), Value::F64(memo_hits as f64 / n)));
+        pairs.push(("runs_avoided".to_owned(), Value::U64(runs_avoided)));
         pairs.push((
-            "short_circuit_rate".to_owned(),
-            Value::F64(short_circuits as f64 / n),
+            "runs_avoided_rate".to_owned(),
+            Value::F64(runs_avoided as f64 / n),
         ));
     }
 
@@ -520,11 +402,6 @@ fn main() {
         ("speedup_memo", Value::F64(speedup_memo)),
         ("speedup", Value::F64(speedup)),
         ("observer_overhead", Value::F64(observer_overhead)),
-        ("warm_store_hit_rate", Value::F64(warm_report.hit_rate())),
-        (
-            "warm_store_speedup_vs_cold",
-            Value::F64(cold_store_secs / warm_store_secs),
-        ),
         ("sharded_strategies_per_sec", {
             match &sharded {
                 None => Value::Null,
@@ -552,36 +429,8 @@ fn main() {
         ("forked", mode_block(&forked, forked_secs)),
         ("from_scratch", mode_block(&scratch, scratch_secs)),
         ("observed", mode_block(&observed, observed_secs)),
-        (
-            "warm_store",
-            obj([
-                ("cold_wall_clock_secs", Value::F64(cold_store_secs)),
-                ("wall_clock_secs", Value::F64(warm_store_secs)),
-                ("strategies_per_sec", Value::F64(n / warm_store_secs)),
-                (
-                    "cross_run_hits",
-                    Value::U64(warm_report.cross_run_hits as u64),
-                ),
-                (
-                    "eligible_runs",
-                    Value::U64(warm_report.eligible_runs as u64),
-                ),
-                ("hit_rate", Value::F64(warm_report.hit_rate())),
-                ("appended_cold", {
-                    let cold_report = cold_store
-                        .memo_store
-                        .expect("store was configured and active");
-                    Value::U64(cold_report.appended as u64)
-                }),
-                (
-                    "speedup_vs_cold",
-                    Value::F64(cold_store_secs / warm_store_secs),
-                ),
-            ]),
-        ),
         ("observer_overhead", Value::F64(observer_overhead)),
         ("speedup_memo", Value::F64(speedup_memo)),
-        ("speedup_same_binary", Value::F64(same_binary_speedup)),
         ("speedup", Value::F64(speedup)),
         (
             "multiflow",
@@ -625,16 +474,6 @@ fn main() {
         }
         pairs.push(("sharded".to_owned(), Value::Obj(block)));
     }
-    if let (Some((commit, secs)), Value::Obj(pairs)) = (&pre_pr, &mut report) {
-        pairs.push((
-            "pre_pr".to_owned(),
-            obj([
-                ("commit", Value::Str(commit.clone())),
-                ("wall_clock_secs", Value::F64(*secs)),
-                ("speedup", Value::F64(secs / memo_secs)),
-            ]),
-        ));
-    }
     let json = report.to_string_compact();
     std::fs::write(path, format!("{json}\n")).expect("write BENCH_campaign.json");
 
@@ -675,7 +514,7 @@ fn main() {
     println!("campaign_throughput: {MAX_STRATEGIES}-strategy quick TCP campaign");
     println!(
         "  memoized:      {memo_secs:.2}s  ({:.1} strategies/s, {:.0} events/s, \
-         {memo_hits} memo hits, {short_circuits} short-circuits)",
+         {runs_avoided} runs avoided)",
         n / memo_secs,
         events(&memoized) as f64 / memo_secs
     );
@@ -701,13 +540,6 @@ fn main() {
         multiflow_n / multiflow_secs,
         events(&multiflow) as f64 / multiflow_secs
     );
-    println!(
-        "  warm store:    {warm_store_secs:.2}s  (cold {cold_store_secs:.2}s, \
-         {}/{} cross-run hits = {:.0}% hit rate)",
-        warm_report.cross_run_hits,
-        warm_report.eligible_runs,
-        warm_report.hit_rate() * 100.0
-    );
     if let Some(reps) = &sharded {
         for (s, secs) in reps {
             println!(
@@ -719,14 +551,8 @@ fn main() {
             println!("  shard scaling: {scaling:.2}x at S=4 over S=1 ({cores} core(s))");
         }
     }
-    if let Some((commit, secs)) = &pre_pr {
-        println!(
-            "  pre-change from-scratch ({}): {secs:.2}s",
-            &commit[..commit.len().min(12)]
-        );
-    }
     println!(
-        "  speedup: {speedup:.2}x  (memoization over forking alone: {speedup_memo:.2}x, \
-         same binary: {same_binary_speedup:.2}x)  → {path}"
+        "  speedup: {speedup:.2}x over from-scratch  (memoization over forking alone: \
+         {speedup_memo:.2}x)  → {path}"
     );
 }

@@ -1,4 +1,3 @@
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
@@ -7,14 +6,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use snake_netsim::FxHashMap;
 use snake_observe::{self as observe, Observer};
 use snake_proxy::{InjectionAttack, Strategy, StrategyKind};
 
 use crate::attacks::{classify, cluster_attacks, AttackFinding};
 use crate::detect::{baseline_valid, detect_enveloped, Envelope, Verdict, DEFAULT_THRESHOLD};
-use crate::journal::{self, JournalHeader, JournalWriter};
-use crate::memostore::{scenario_digest, MemoStore, MemoStoreReport, StoreScope};
+use crate::journal::{self, scenario_digest, JournalHeader, JournalWriter};
 use crate::scenario::{Executor, ExecutorOptions, PlannedExecutor, ScenarioSpec, TestMetrics};
 use crate::segment::{self, SegmentEntry};
 use crate::shard::{
@@ -58,11 +55,9 @@ pub struct CampaignConfig {
     pub(crate) progress_every: usize,
     // Fork baseline snapshots instead of replaying the attack-free prefix.
     pub(crate) snapshot_fork: bool,
-    // Cross-strategy memoization (inert elision, class sharing,
-    // fingerprint cache, no-op halt).
+    // Cross-strategy memoization (inert elision, class sharing, no-op
+    // halt).
     pub(crate) memoize: bool,
-    // Persistent cross-run fingerprint→verdict store path.
-    pub(crate) memo_store: Option<PathBuf>,
     // Test-only fault injection inside the panic isolation boundary.
     pub(crate) fault_hook: Option<FaultHook>,
     // Deterministic chaos injection (panics, stalls, journal faults).
@@ -324,7 +319,6 @@ impl fmt::Debug for CampaignConfig {
             .field("progress_every", &self.progress_every)
             .field("snapshot_fork", &self.snapshot_fork)
             .field("memoize", &self.memoize)
-            .field("memo_store", &self.memo_store)
             .field("fault_hook", &self.fault_hook.as_ref().map(|_| "<hook>"))
             .field("chaos", &self.chaos)
             .field("baseline_reps", &self.baseline_reps)
@@ -361,7 +355,6 @@ impl CampaignConfig {
             progress_every: 0,
             snapshot_fork: true,
             memoize: true,
-            memo_store: None,
             fault_hook: None,
             chaos: None,
             baseline_reps: 1,
@@ -398,7 +391,6 @@ pub struct CampaignConfigBuilder {
     progress_every: usize,
     snapshot_fork: bool,
     memoize: bool,
-    memo_store: Option<PathBuf>,
     fault_hook: Option<FaultHook>,
     chaos: Option<ChaosPlan>,
     baseline_reps: usize,
@@ -500,9 +492,8 @@ impl CampaignConfigBuilder {
 
     /// Memoizes across strategies: statically provable wire no-ops are
     /// answered with the baseline outcome, trigger-equivalent `OnState`
-    /// strategies share one representative run, runs whose wire-effect
-    /// fingerprint was seen before share the cached verdict, and the
-    /// executor halts runs whose rules are spent without a wire effect.
+    /// strategies share one representative run, and the executor halts
+    /// runs whose rules are spent without a wire effect.
     /// Every shortcut is conditioned on the snapshot planner's determinism
     /// guard (same philosophy: memoization is disabled whenever identical
     /// replay cannot be guaranteed), so outcomes are bit-identical with
@@ -511,23 +502,6 @@ impl CampaignConfigBuilder {
     /// reaches the hook.
     pub fn memoize(mut self, memoize: bool) -> Self {
         self.memoize = memoize;
-        self
-    }
-
-    /// Persists the wire-effect fingerprint → verdict cache across
-    /// campaign processes: verdicts are loaded from the checksummed store
-    /// at `path` when the run starts and new ones are appended as it goes
-    /// (see [`MemoStore`]). Entries are keyed by scenario digest,
-    /// implementation, seed and impairment spec, so a store can be shared
-    /// between arbitrary campaigns — entries from a different
-    /// configuration simply never match. Purely an accounting and
-    /// persistence layer: verdicts are still computed fresh every run, so
-    /// outcomes are bit-identical with the store cold, warm, damaged or
-    /// absent. Requires [`memoize`](Self::memoize) (the default); silently
-    /// inactive when a `fault_hook` or `chaos` plan forces memoization
-    /// off.
-    pub fn memo_store(mut self, path: impl Into<PathBuf>) -> Self {
-        self.memo_store = Some(path.into());
         self
     }
 
@@ -587,9 +561,9 @@ impl CampaignConfigBuilder {
 
     /// Shard strategy execution across `n` worker *processes* (0, the
     /// default, keeps everything in this process). The controller still
-    /// owns generation, verdicts, journal, memo store and admission
-    /// order, so results are bit-identical at any shard count; if every
-    /// worker dies the campaign degrades to in-process execution.
+    /// owns generation, verdicts, journal and admission order, so results
+    /// are bit-identical at any shard count; if every worker dies the
+    /// campaign degrades to in-process execution.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
         self
@@ -725,13 +699,6 @@ impl CampaignConfigBuilder {
                     .to_owned(),
             );
         }
-        if self.memo_store.is_some() && !self.memoize {
-            return invalid(
-                "memo_store requires memoize: the persistent store is the \
-                 fingerprint cache's disk layer"
-                    .to_owned(),
-            );
-        }
         Ok(CampaignConfig {
             scenario: self.scenario,
             params: self.params,
@@ -745,7 +712,6 @@ impl CampaignConfigBuilder {
             progress_every: self.progress_every,
             snapshot_fork: self.snapshot_fork,
             memoize: self.memoize,
-            memo_store: self.memo_store,
             fault_hook: self.fault_hook,
             chaos: self.chaos,
             baseline_reps: self.baseline_reps,
@@ -802,15 +768,6 @@ pub enum CampaignError {
         /// What differed.
         detail: String,
     },
-    /// Opening the persistent memo store failed with a real I/O error
-    /// (a damaged store is recovered from, not an error — see
-    /// [`MemoStore::open`]).
-    MemoStore {
-        /// The store path.
-        path: PathBuf,
-        /// The underlying I/O error.
-        source: io::Error,
-    },
     /// `resume` was requested without a journal path to resume from.
     ResumeWithoutJournal,
     /// The builder rejected the configuration (non-finite threshold, zero
@@ -839,9 +796,6 @@ impl fmt::Display for CampaignError {
                     path.display()
                 )
             }
-            CampaignError::MemoStore { path, source } => {
-                write!(f, "memo store {}: {source}", path.display())
-            }
             CampaignError::ResumeWithoutJournal => {
                 f.write_str("resume requested without a journal path")
             }
@@ -855,9 +809,7 @@ impl fmt::Display for CampaignError {
 impl std::error::Error for CampaignError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CampaignError::Journal { source, .. } | CampaignError::MemoStore { source, .. } => {
-                Some(source)
-            }
+            CampaignError::Journal { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -920,8 +872,7 @@ pub struct StrategyOutcome {
     /// How memoization produced (or shortened) this outcome: `"inert"`
     /// (statically provable wire no-op, answered with the baseline),
     /// `"class"` (shared the run of a trigger-equivalent representative),
-    /// `"fp"` (verdict served from the wire-effect fingerprint cache), or
-    /// `"halt"` (the proxy halted the run once every rule was spent
+    /// or `"halt"` (the proxy halted the run once every rule was spent
     /// without a wire effect and substituted the baseline). `None` for
     /// outcomes whose run went the ordinary distance. Recorded in the
     /// journal so `--resume` replays memoized outcomes exactly.
@@ -968,19 +919,15 @@ pub struct CampaignResult {
     /// Journal lines that could not be parsed on resume (a killed writer
     /// can leave a partial final line; it is skipped, not fatal).
     pub journal_lines_skipped: usize,
-    /// Memoization hits: outcomes that shared a trigger-equivalent
-    /// representative's run (`memo == "class"`) plus verdicts served from
-    /// the wire-effect fingerprint cache (`memo == "fp"`). Derived by
-    /// counting the outcome markers, so the run manifest's memo breakdown
-    /// always sums back to this field. Zero when memoization is off.
-    pub memo_hits: usize,
-    /// Runs short-circuited outright: statically provable wire no-ops
-    /// answered with the baseline outcome (`memo == "inert"`) plus main
-    /// runs the proxy halted once every rule was spent without a wire
-    /// effect (`memo == "halt"`). Derived from the outcome markers;
-    /// auxiliary halts (re-test and control runs) show up in the
-    /// executors' own tallies, not here. Zero when memoization is off.
-    pub short_circuits: usize,
+    /// Runs avoided by memoization: outcomes produced without a
+    /// simulation of their own — statically provable wire no-ops answered
+    /// with the baseline (`memo == "inert"`) plus outcomes that shared a
+    /// trigger-equivalent representative's run (`memo == "class"`).
+    /// Derived by counting the outcome markers, so the run manifest's
+    /// memo breakdown always sums back to this field. Halted runs
+    /// (`"halt"`) are shortened, not avoided, and are not counted. Zero
+    /// when memoization is off.
+    pub runs_avoided: usize,
     /// How many seed-jittered baselines anchor the detection envelope
     /// (1 = the legacy single baseline).
     pub baseline_reps: usize,
@@ -995,10 +942,6 @@ pub struct CampaignResult {
     /// Strategies quarantined as [`OutcomeKind::Stalled`] after the
     /// watchdog's retry budget ran out.
     pub quarantined: usize,
-    /// What the persistent memo store did, when one was configured and
-    /// active (`None` when no store was set, or when a fault hook / chaos
-    /// plan forced memoization — and with it the store — off).
-    pub memo_store: Option<MemoStoreReport>,
 }
 
 impl CampaignResult {
@@ -1239,13 +1182,12 @@ impl Campaign {
         // identity, so appending to a journal written under different
         // memo/impairment semantics is refused instead of silently mixing
         // provenance markers (or metrics) from two different worlds.
-        let impairment_label = spec.bottleneck().impair.to_string();
         let header = JournalHeader {
             implementation: spec.protocol.implementation_name().to_owned(),
             seed: spec.seed,
             threshold: config.threshold,
             memoize: Some(memoize),
-            impairment: Some(impairment_label.clone()),
+            impairment: Some(spec.bottleneck().impair.to_string()),
         };
         let mut reusable: BTreeMap<u64, journal::JournalEntry> = BTreeMap::new();
         let mut journal_lines_skipped = 0;
@@ -1348,32 +1290,6 @@ impl Campaign {
         });
         let admissions = AtomicU64::new(0);
 
-        // Persistent memo store: opened only while memoization is live (a
-        // fault hook or chaos plan that forces memoization off silently
-        // deactivates the store with it). The store never influences a
-        // verdict or a memo marker — admission always computes verdicts
-        // fresh — so outcomes are bit-identical with the store cold, warm
-        // or absent; what it adds is persistence and cross-run hit
-        // accounting.
-        let store = match (&config.memo_store, memoize) {
-            (Some(path), true) => {
-                Some(
-                    MemoStore::open(path).map_err(|source| CampaignError::MemoStore {
-                        path: path.clone(),
-                        source,
-                    })?,
-                )
-            }
-            _ => None,
-        };
-        let scope = StoreScope {
-            scenario_digest: digest,
-            implementation: spec.protocol.implementation_name().to_owned(),
-            seed: spec.seed,
-            impairment: impairment_label,
-        };
-        let ledger = Mutex::new(MemoLedger::new(memoize, store, scope));
-
         let journal_cell = writer.map(Mutex::new);
         let journal_error: Mutex<Option<io::Error>> = Mutex::new(None);
         let journal_writes = AtomicU64::new(0);
@@ -1453,8 +1369,7 @@ impl Campaign {
         // construction — a launch failure, a lost handshake or a mid-run
         // crash only shrinks it, and a pool with no live shards degrades
         // to the in-process thread pool. Determinism is unaffected either
-        // way: generation, admission, journal and memo store never leave
-        // this process.
+        // way: generation, admission and journal never leave this process.
         let mut pool = if config.shards > 0 {
             let _span = observe::span(config.observer.as_ref(), "phase.shard_launch", 0);
             match ShardPool::launch(&config, memoize, seg_dir.clone()) {
@@ -1508,10 +1423,8 @@ impl Campaign {
             // Split the round into journaled outcomes we can reuse and
             // strategies that still need a run. Identity is checked on the
             // full strategy, not just the id, so a stale journal entry is
-            // re-run rather than trusted. Reused outcomes re-prime the
-            // memoization layers — the fingerprint cache is re-seeded from
-            // their recorded verdicts and non-inert reused strategies
-            // re-register as class representatives — so a resumed campaign
+            // re-run rather than trusted. Non-inert reused strategies
+            // re-register as class representatives, so a resumed campaign
             // reaches the same memo decisions (and markers) as an
             // uninterrupted one.
             let mut round: Vec<Option<StrategyOutcome>> = fresh.iter().map(|_| None).collect();
@@ -1526,10 +1439,6 @@ impl Campaign {
                         // reports the same evaluation tallies as the
                         // uninterrupted run it is reconstructing.
                         fold_worker_counters(&shared, &prev.counters);
-                        ledger
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .seed_resumed(&prev.outcome);
                         // An inert-marked outcome never reached the class
                         // grouping in the original run, so it must not
                         // become a representative now.
@@ -1582,15 +1491,8 @@ impl Campaign {
                 })
                 .collect();
             let ran = match pool.as_mut().filter(|p| p.live() > 0) {
-                Some(pool) => run_batch_sharded(&shared, &ledger, batch, pre, pool, &on_outcome),
-                None => run_batch(
-                    &shared,
-                    &ledger,
-                    batch,
-                    pre,
-                    config.parallelism,
-                    &on_outcome,
-                ),
+                Some(pool) => run_batch_sharded(&shared, batch, pre, pool, &on_outcome),
+                None => run_batch(&shared, batch, pre, config.parallelism, &on_outcome),
             };
             for (i, outcome) in indices.into_iter().zip(ran) {
                 round[i] = Some(outcome);
@@ -1601,16 +1503,8 @@ impl Campaign {
                     .expect("class representatives are reused or ran in this batch");
                 let outcome = if rep_outcome.outcome_kind == OutcomeKind::Errored {
                     // A panicking representative proves nothing about its
-                    // class; run the member itself. The fresh run is
-                    // admitted like any other (fingerprint marker, cache
-                    // insert, store append) — followers re-run in index
-                    // order, so admission stays deterministic.
-                    let mut o = evaluate_watched(&shared, s);
-                    ledger
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .admit(&mut o);
-                    o
+                    // class; run the member itself.
+                    evaluate_watched(&shared, s)
                 } else {
                     materialize_class_member(rep_outcome, s)
                 };
@@ -1629,12 +1523,6 @@ impl Campaign {
                 }
                 outcomes.push(o);
             }
-            // Admission checkpoint: one buffered-store flush per round
-            // instead of one write syscall per admitted entry.
-            ledger
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .flush_store();
         }
 
         if let Some(mut pool) = pool.take() {
@@ -1671,36 +1559,13 @@ impl Campaign {
             .collect();
         let findings = cluster_attacks(&classified);
 
-        // The memo totals are derived from the provenance markers the
+        // Runs avoided are derived from the provenance markers the
         // outcomes actually carry, so the campaign counters, the journal
         // and the run manifest can never disagree.
-        let mut memo_hits = 0usize;
-        let mut short_circuits = 0usize;
-        for o in &outcomes {
-            match o.memo.as_deref() {
-                Some("class") | Some("fp") => memo_hits += 1,
-                Some("inert") | Some("halt") => short_circuits += 1,
-                _ => {}
-            }
-        }
-
-        let memo_store = {
-            let mut ledger = ledger.into_inner().unwrap_or_else(|e| e.into_inner());
-            ledger.flush_store();
-            let report = ledger.report();
-            if let Some(r) = &report {
-                let obs = config.observer.as_ref();
-                obs.counter_add("memostore.entries_loaded", r.entries_loaded as u64);
-                obs.counter_add("memostore.entries_valid", r.entries_valid as u64);
-                obs.counter_add("memostore.entries_skipped", r.entries_skipped as u64);
-                obs.counter_add("memostore.cross_run_hits", r.cross_run_hits as u64);
-                obs.counter_add("memostore.eligible_runs", r.eligible_runs as u64);
-                obs.counter_add("memostore.appended", r.appended as u64);
-                obs.counter_add("memostore.write_failures", r.write_failures as u64);
-                obs.counter_add("memostore.verdict_mismatches", r.verdict_mismatches as u64);
-            }
-            report
-        };
+        let runs_avoided = outcomes
+            .iter()
+            .filter(|o| matches!(o.memo.as_deref(), Some("inert") | Some("class")))
+            .count();
 
         Ok(CampaignResult {
             protocol: spec.protocol.protocol_name().to_owned(),
@@ -1710,14 +1575,12 @@ impl Campaign {
             findings,
             resumed,
             journal_lines_skipped,
-            memo_hits,
-            short_circuits,
+            runs_avoided,
             baseline_reps: config.baseline_reps,
             envelope: shared.envelope,
             escalated: shared.escalated.load(Ordering::Relaxed),
             stalls: shared.stalls.load(Ordering::Relaxed),
             quarantined: shared.quarantined.load(Ordering::Relaxed),
-            memo_store,
         })
     }
 }
@@ -1776,166 +1639,6 @@ pub(crate) struct SharedCtx {
 }
 
 pub(crate) type Shared = Arc<SharedCtx>;
-
-/// The campaign's memoization bookkeeper, owned by `Campaign::run` and
-/// consulted only at *admission* — the single point where a finished
-/// outcome is assigned its fingerprint marker, inserted into the
-/// in-process cache and appended to the persistent store, strictly in
-/// strategy-index order (see [`run_batch`]'s release buffer). Workers
-/// never touch it while evaluating, which is what makes memo markers
-/// identical at every worker count: under the old design each worker
-/// consulted a shared fingerprint cache mid-flight, so which of two
-/// equal-fingerprint strategies got the `"fp"` marker depended on
-/// completion order.
-///
-/// The fingerprint cache maps wire-effect fingerprints to verdicts. A
-/// fingerprint captures every effect the proxy actually had on the wire
-/// (plus its RNG draws), so equal fingerprints mean byte-identical runs
-/// and the verdict can be shared. Only unflagged verdicts are cached: a
-/// flagged outcome also depends on the different-seed re-test run, which
-/// the main run's fingerprint says nothing about.
-struct MemoLedger {
-    /// Whether campaign-level memoization is live; when off, admission is
-    /// a no-op and every outcome keeps whatever marker evaluation gave it.
-    memoize: bool,
-    /// The in-process fingerprint → verdict cache (this campaign's own
-    /// completed runs plus resume-seeded journal entries).
-    fp_cache: FxHashMap<(u64, u64), Verdict>,
-    /// Fingerprints loaded from the persistent store for this campaign's
-    /// scope. Deliberately separate from `fp_cache`: store entries feed
-    /// the cross-run hit and mismatch counters but never markers or
-    /// verdicts, so a warm store cannot change any outcome bit.
-    store_seen: FxHashMap<(u64, u64), Verdict>,
-    /// The open store and this campaign's scope key, when configured.
-    store: Option<(MemoStore, StoreScope)>,
-    /// Loaded store entries matching this campaign's scope.
-    entries_valid: usize,
-    /// Fresh completed runs whose fingerprint the store already knew.
-    cross_run_hits: usize,
-    /// Fresh completed runs eligible for a cross-run hit.
-    eligible_runs: usize,
-    /// Store entries whose recorded verdict disagreed with the freshly
-    /// computed one (the computed verdict wins; see [`MemoStoreReport`]).
-    verdict_mismatches: usize,
-}
-
-impl MemoLedger {
-    fn new(memoize: bool, store: Option<MemoStore>, scope: StoreScope) -> MemoLedger {
-        let store_seen = store
-            .as_ref()
-            .map(|s| s.scope_entries(&scope))
-            .unwrap_or_default();
-        MemoLedger {
-            memoize,
-            fp_cache: FxHashMap::default(),
-            entries_valid: store_seen.len(),
-            store_seen,
-            store: store.map(|s| (s, scope)),
-            cross_run_hits: 0,
-            eligible_runs: 0,
-            verdict_mismatches: 0,
-        }
-    }
-
-    /// Admits one freshly evaluated outcome: counts it against the
-    /// persistent store, assigns the `"fp"` marker when its fingerprint
-    /// was already in the in-process cache (a `"halt"` marker from the
-    /// run itself takes precedence), and otherwise caches and persists
-    /// the verdict when it is unflagged. Only completed runs participate —
-    /// errored, truncated and stalled outcomes carry no meaningful
-    /// fingerprint, and inert/class outcomes never reach admission at all
-    /// (they never touched the cache under the old design either).
-    fn admit(&mut self, outcome: &mut StrategyOutcome) {
-        if !self.memoize || outcome.outcome_kind != OutcomeKind::Ok {
-            return;
-        }
-        let fp = (
-            outcome.metrics.proxy.effect_fp_a,
-            outcome.metrics.proxy.effect_fp_b,
-        );
-        self.eligible_runs += 1;
-        match self.store_seen.get(&fp) {
-            Some(v) if *v == outcome.verdict => self.cross_run_hits += 1,
-            Some(_) => self.verdict_mismatches += 1,
-            None => {}
-        }
-        match self.fp_cache.entry(fp) {
-            // Equal fingerprints mean byte-identical runs, so the freshly
-            // computed verdict necessarily equals the cached one — the
-            // marker is pure provenance, never a different answer.
-            Entry::Occupied(_) => {
-                if outcome.memo.is_none() {
-                    outcome.memo = Some("fp".to_owned());
-                }
-            }
-            Entry::Vacant(slot) => {
-                if !outcome.verdict.flagged() {
-                    slot.insert(outcome.verdict);
-                    if let Some((store, scope)) = &mut self.store {
-                        store.insert(scope, fp, outcome.verdict);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Re-seeds the fingerprint cache from a journaled outcome on resume.
-    /// Only outcomes that would have populated the cache in the original
-    /// run qualify: completed, unflagged, and produced by an actual run
-    /// (`memo` of `None`), a cache hit (`"fp"`), or a proxy halt
-    /// (`"halt"`, whose substituted baseline metrics carry the baseline's
-    /// fingerprint) — `"inert"` and `"class"` outcomes never touched the
-    /// cache. With the cache restored, the strategies that still need a
-    /// run reach the same verdict-sharing decisions as an uninterrupted
-    /// campaign. Seeded verdicts are persisted too, so a store shared with
-    /// an interrupted campaign still ends up complete. Resumed outcomes do
-    /// not count toward the cross-run hit rate — nothing ran.
-    fn seed_resumed(&mut self, outcome: &StrategyOutcome) {
-        if !self.memoize
-            || outcome.outcome_kind != OutcomeKind::Ok
-            || outcome.verdict.flagged()
-            || !matches!(outcome.memo.as_deref(), None | Some("fp") | Some("halt"))
-        {
-            return;
-        }
-        let fp = (
-            outcome.metrics.proxy.effect_fp_a,
-            outcome.metrics.proxy.effect_fp_b,
-        );
-        if let Entry::Vacant(slot) = self.fp_cache.entry(fp) {
-            slot.insert(outcome.verdict);
-            if let Some((store, scope)) = &mut self.store {
-                store.insert(scope, fp, outcome.verdict);
-            }
-        }
-    }
-
-    /// The store section of the campaign result (`None` when no store was
-    /// active this run).
-    fn report(&self) -> Option<MemoStoreReport> {
-        let (store, _) = self.store.as_ref()?;
-        Some(MemoStoreReport {
-            entries_loaded: store.entries_loaded(),
-            entries_valid: self.entries_valid,
-            entries_skipped: store.entries_skipped(),
-            cross_run_hits: self.cross_run_hits,
-            eligible_runs: self.eligible_runs,
-            appended: store.appended(),
-            write_failures: store.write_failures(),
-            verdict_mismatches: self.verdict_mismatches,
-        })
-    }
-
-    /// Pushes the persistent store's buffered appends to disk, if a store
-    /// is attached. Called at admission checkpoints (end of each feedback
-    /// round and before the final report) so the per-entry write syscall
-    /// the store used to pay is amortised across a whole round.
-    fn flush_store(&mut self) {
-        if let Some((store, _)) = &mut self.store {
-            store.flush();
-        }
-    }
-}
 
 /// Answers a statically provable wire no-op with the baseline outcome —
 /// exactly what [`evaluate`] would produce, without running anything.
@@ -2033,8 +1736,7 @@ fn evaluate(shared: &Shared, strategy: Strategy) -> StrategyOutcome {
     let (metrics, info) = exec.run_with_info(Some(strategy.clone()));
     // A halted run (every rule spent with zero wire effect) substituted
     // the baseline outcome; the marker records that this outcome was
-    // short-circuited, and takes precedence over a fingerprint-cache hit
-    // on the same (baseline-equal) metrics.
+    // short-circuited.
     let memo: Option<String> = info.halted.then(|| "halt".to_owned());
     if metrics.truncated {
         // A budget-truncated run transferred less data because it ran for
@@ -2053,15 +1755,6 @@ fn evaluate(shared: &Shared, strategy: Strategy) -> StrategyOutcome {
             memo,
         };
     }
-    // The verdict is always computed fresh here; the wire-effect
-    // fingerprint cache lives in the [`MemoLedger`] and is consulted only
-    // at admission, after evaluation. Equal fingerprints mean
-    // byte-identical runs, so a cache hit's verdict equals this freshly
-    // computed one by construction — moving the lookup out of the workers
-    // changes no outcome, it only makes the `"fp"` markers independent of
-    // worker completion order. Cached (and therefore persisted) verdicts
-    // are always unflagged, which keeps the re-test and control logic
-    // below trivially consistent with a later marker assignment.
     let verdict = detect_enveloped(&shared.envelope, &metrics);
 
     // Flagged verdicts re-test as always; with an ensemble (reps > 1),
@@ -2293,9 +1986,9 @@ impl WorkerClock {
 }
 
 /// Holds outcomes finished out of order until every lower-index outcome
-/// has been admitted, so admission (memo-marker assignment, cache insert,
-/// store append) and journaling happen strictly in strategy-index order at
-/// any worker count — exactly the sequence a single worker would produce.
+/// has been admitted, so admission and journaling happen strictly in
+/// strategy-index order at any worker count — exactly the sequence a
+/// single worker would produce.
 /// Entries carry the worker counter deltas to fold at admission (`None`
 /// for outcomes evaluated in this process, whose counters reached the
 /// observer directly).
@@ -2323,25 +2016,16 @@ type DeliveredOutcome = (StrategyOutcome, Vec<(String, u64)>);
 
 /// Admits the contiguous ready prefix of the release buffer: fold the
 /// entry's counter deltas (segment-prefetched outcomes carry the crashed
-/// run's worker tallies), assign memo markers through the ledger, journal.
-fn drain_release(
-    state: &mut ReleaseState,
-    shared: &Shared,
-    ledger: &Mutex<MemoLedger>,
-    on_outcome: OnOutcome<'_>,
-) {
+/// run's worker tallies), then journal.
+fn drain_release(state: &mut ReleaseState, shared: &Shared, on_outcome: OnOutcome<'_>) {
     loop {
         let turn = state.next;
-        let Some((mut outcome, counters)) = state.pending.remove(&turn) else {
+        let Some((outcome, counters)) = state.pending.remove(&turn) else {
             break;
         };
         if let Some(counters) = &counters {
             fold_worker_counters(shared, counters);
         }
-        ledger
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .admit(&mut outcome);
         on_outcome(&outcome, counters.as_deref());
         state.done.push(outcome);
         state.next += 1;
@@ -2350,18 +2034,16 @@ fn drain_release(
 
 /// Runs a batch of strategies across `parallelism` worker threads — the
 /// paper's pool of executors with linear speedup (§V-D). Each outcome is
-/// admitted through the [`MemoLedger`] and handed to `on_outcome`
-/// (journal append, progress) as soon as every earlier-index outcome has
-/// been, so a killed process loses at most the runs that were still in
-/// flight or held back by one — and the journal is always an index-order
-/// prefix of the batch.
+/// handed to `on_outcome` (journal append, progress) as soon as every
+/// earlier-index outcome has been, so a killed process loses at most the
+/// runs that were still in flight or held back by one — and the journal
+/// is always an index-order prefix of the batch.
 ///
 /// `pre` holds segment-prefetched outcomes (from a crashed sharded run)
 /// positionally: a `Some` index is never evaluated, its outcome replays
 /// through the identical admission sequence instead.
 fn run_batch(
     shared: &Shared,
-    ledger: &Mutex<MemoLedger>,
     strategies: Vec<Strategy>,
     pre: Vec<Option<SegmentEntry>>,
     parallelism: usize,
@@ -2380,17 +2062,13 @@ fn run_batch(
         let out = strategies
             .into_iter()
             .map(|s| {
-                let (mut outcome, counters) = match pre.next().flatten() {
+                let (outcome, counters) = match pre.next().flatten() {
                     Some(entry) => (entry.outcome, Some(entry.counters)),
                     None => (clock.time(|| evaluate_watched(shared, s)), None),
                 };
                 if let Some(counters) = &counters {
                     fold_worker_counters(shared, counters);
                 }
-                ledger
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .admit(&mut outcome);
                 on_outcome(&outcome, counters.as_deref());
                 outcome
             })
@@ -2404,7 +2082,7 @@ fn run_batch(
     // them in index order regardless of which worker finished first —
     // evaluation itself (the expensive part) still runs fully in
     // parallel; only the cheap admission step is serialized. Lock order
-    // is always release → ledger → journal.
+    // is always release → journal.
     let jobs = &strategies[..];
     let prefetched: Vec<bool> = pre.iter().map(Option::is_some).collect();
     let mut seeded: BTreeMap<usize, PendingOutcome> = BTreeMap::new();
@@ -2424,7 +2102,6 @@ fn run_batch(
     drain_release(
         &mut release.lock().unwrap_or_else(|e| e.into_inner()),
         shared,
-        ledger,
         on_outcome,
     );
     std::thread::scope(|scope| {
@@ -2440,7 +2117,7 @@ fn run_batch(
                     let outcome = clock.time(|| evaluate_watched(shared, strategy.clone()));
                     let mut state = release.lock().unwrap_or_else(|e| e.into_inner());
                     state.pending.insert(i, (outcome, None));
-                    drain_release(&mut state, shared, ledger, on_outcome);
+                    drain_release(&mut state, shared, on_outcome);
                 }
                 clock.finish(observer);
             });
@@ -2505,8 +2182,8 @@ fn requeue_outstanding(
 
 /// Runs a batch across the shard worker pool — the multi-process analogue
 /// of [`run_batch`], with the identical admission contract: outcomes pass
-/// through the [`MemoLedger`] and `on_outcome` strictly in strategy-index
-/// order, so journal, memo markers and TSV are bit-identical to the
+/// through `on_outcome` strictly in strategy-index order, so journal, memo
+/// markers and TSV are bit-identical to the
 /// in-process path no matter how many shards raced, died or got their
 /// ranges re-dispatched.
 ///
@@ -2526,7 +2203,6 @@ fn requeue_outstanding(
 /// still produces byte-identical output.
 fn run_batch_sharded(
     shared: &Shared,
-    ledger: &Mutex<MemoLedger>,
     strategies: Vec<Strategy>,
     pre: Vec<Option<SegmentEntry>>,
     pool: &mut ShardPool,
@@ -2567,21 +2243,13 @@ fn run_batch_sharded(
     let mut done: Vec<StrategyOutcome> = Vec::with_capacity(n);
     let mut next_admit = 0usize;
 
-    let admit = |outcome: &mut StrategyOutcome| {
-        ledger
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .admit(outcome);
-    };
-
     // Release any prefetched prefix before dispatching: its counters fold
     // and its journal lines write exactly as an uninterrupted run's would.
     while next_admit < n {
-        let Some((mut outcome, counters)) = received[next_admit].take() else {
+        let Some((outcome, counters)) = received[next_admit].take() else {
             break;
         };
         fold_worker_counters(shared, &counters);
-        admit(&mut outcome);
         on_outcome(&outcome, Some(&counters));
         done.push(outcome);
         next_admit += 1;
@@ -2695,11 +2363,10 @@ fn run_batch_sharded(
                 // fold here, not at receipt, so a stale result that never
                 // admits never skews the observer either.
                 while next_admit < n {
-                    let Some((mut outcome, counters)) = received[next_admit].take() else {
+                    let Some((outcome, counters)) = received[next_admit].take() else {
                         break;
                     };
                     fold_worker_counters(shared, &counters);
-                    admit(&mut outcome);
                     on_outcome(&outcome, Some(&counters));
                     done.push(outcome);
                     next_admit += 1;
@@ -2712,14 +2379,13 @@ fn run_batch_sharded(
     // whole batch when the pool died at launch, the tail when it died
     // mid-run. Already-received outcomes are reused, not re-run.
     for index in next_admit..n {
-        let (mut outcome, counters) = match received[index].take() {
+        let (outcome, counters) = match received[index].take() {
             Some((outcome, counters)) => (outcome, Some(counters)),
             None => (evaluate_watched(shared, strategies[index].clone()), None),
         };
         if let Some(counters) = &counters {
             fold_worker_counters(shared, counters);
         }
-        admit(&mut outcome);
         on_outcome(&outcome, counters.as_deref());
         done.push(outcome);
     }
@@ -2802,14 +2468,12 @@ mod tests {
             findings: Vec::new(),
             resumed: 0,
             journal_lines_skipped: 0,
-            memo_hits: 0,
-            short_circuits: 0,
+            runs_avoided: 0,
             baseline_reps: 1,
             envelope: Envelope::from_baseline(&TestMetrics::empty(), DEFAULT_THRESHOLD),
             escalated: 0,
             stalls: 0,
             quarantined: 0,
-            memo_store: None,
         };
         let tsv = result.export_outcomes_tsv();
         let lines: Vec<&str> = tsv.lines().collect();
@@ -2892,11 +2556,6 @@ mod tests {
             CampaignConfig::builder(spec()).feedback_rounds(0),
             CampaignConfig::builder(spec()).baseline_reps(0),
             CampaignConfig::builder(spec()).deadline(Duration::ZERO),
-            // The store is the fingerprint cache's disk layer; explicitly
-            // disabling memoization while asking for one is contradictory.
-            CampaignConfig::builder(spec())
-                .memo_store("/tmp/unused-store.jsonl")
-                .memoize(false),
         ] {
             match broken.build() {
                 Err(CampaignError::InvalidConfig { detail }) => {

@@ -34,7 +34,7 @@ use snake_proxy::{ProxyReport, Strategy};
 
 use crate::campaign::{OutcomeKind, StrategyOutcome};
 use crate::detect::Verdict;
-use crate::scenario::TestMetrics;
+use crate::scenario::{ScenarioSpec, TestMetrics};
 
 impl ToJson for Verdict {
     fn to_json(&self) -> Value {
@@ -234,10 +234,20 @@ impl FromJson for StrategyOutcome {
             outcome_kind: OutcomeKind::from_json(value.req("outcome")?)?,
             error,
             // Journals written before memoization lack the field; those
-            // outcomes all ran for real.
+            // outcomes all ran for real. A legacy `"fp"` marker was
+            // provenance only (the run went the ordinary distance), so it
+            // reads as no marker — exactly what a fresh run records.
             memo: match value.get("memo") {
                 None | Some(Value::Null) => None,
-                Some(Value::Str(s)) => Some(s.clone()),
+                Some(Value::Str(s)) => match s.as_str() {
+                    "inert" | "class" | "halt" => Some(s.clone()),
+                    "fp" => None,
+                    _ => {
+                        return Err(JsonError::decode(
+                            "field `memo` must be inert/class/halt or null",
+                        ))
+                    }
+                },
                 Some(_) => return Err(JsonError::decode("field `memo` must be a string or null")),
             },
         })
@@ -388,8 +398,7 @@ pub(crate) fn decode_counters(value: Option<&Value>) -> Vec<(String, u64)> {
 
 /// FNV-1a 64-bit hash of a line's JSON payload — the per-line checksum.
 /// Small, dependency-free, and plenty for detecting torn or bit-rotted
-/// lines (this guards against accidents, not adversaries). Shared with the
-/// persistent memo store, which uses the same framing.
+/// lines (this guards against accidents, not adversaries).
 pub(crate) fn line_checksum(payload: &str) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for byte in payload.as_bytes() {
@@ -397,6 +406,20 @@ pub(crate) fn line_checksum(payload: &str) -> u64 {
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }
     hash
+}
+
+/// Stable FNV-1a digest of everything scenario-side that can influence a
+/// verdict: the full [`ScenarioSpec`] (topology, workload, budgets, seed,
+/// impairments), the detection threshold, and the baseline-ensemble size.
+/// Journal segments and the shard handshake gate on it. Hashing the
+/// spec's `Debug` rendering deliberately over-approximates — any
+/// representational change (a new field, a reordered one) moves the
+/// digest in the safe direction — and keeps the digest independent of the
+/// shard wire's spec encoding, which the wire's self-check relies on.
+pub fn scenario_digest(spec: &ScenarioSpec, threshold: f64, baseline_reps: usize) -> u64 {
+    line_checksum(&format!(
+        "{spec:?}|threshold={threshold}|baseline_reps={baseline_reps}"
+    ))
 }
 
 /// Renders one journal line: compact JSON, a tab, and the checksum as 16
@@ -945,6 +968,87 @@ mod tests {
         assert!(!text.contains("memoize"), "absent fields are not written");
         let back = JournalHeader::from_json(&snake_json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, legacy);
+    }
+
+    #[test]
+    fn memo_markers_decode_strictly() {
+        let with_memo = |memo: &str| {
+            let mut json = outcome(3).to_json();
+            if let Value::Obj(pairs) = &mut json {
+                for (k, v) in pairs.iter_mut() {
+                    if k == "memo" {
+                        *v = Value::Str(memo.into());
+                    }
+                }
+            }
+            StrategyOutcome::from_json(&json)
+        };
+        for marker in ["inert", "class", "halt"] {
+            let back = with_memo(marker).expect("a current marker decodes");
+            assert_eq!(back.memo.as_deref(), Some(marker));
+        }
+        // The retired fingerprint-cache marker reads as an ordinary run.
+        assert_eq!(with_memo("fp").expect("legacy marker decodes").memo, None);
+        assert!(with_memo("bogus").is_err());
+        assert!(with_memo("").is_err());
+    }
+
+    #[test]
+    fn unknown_memo_marker_is_a_malformed_line() {
+        let path = temp_path("bad-memo");
+        let header = header("x", 1);
+        let mut w = JournalWriter::create(&path, &header).unwrap();
+        w.record(&outcome(1)).unwrap();
+        drop(w);
+        // A correctly checksummed line whose marker is unknown must be
+        // skipped and counted exactly like a checksum failure.
+        let bad = outcome(2)
+            .to_json()
+            .to_string_compact()
+            .replace("\"memo\":\"inert\"", "\"memo\":\"warp\"");
+        assert!(bad.contains("warp"), "the replacement must hit");
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str(&checksummed_line(&bad));
+        std::fs::write(&path, text).unwrap();
+        let loaded = load(&path).unwrap();
+        assert_eq!(loaded.outcomes, vec![outcome(1)]);
+        assert_eq!(loaded.malformed_lines, 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn scenario_digest_is_pinned() {
+        // Existing segment directories and shard handshakes carry these
+        // values; a change here orphans them.
+        use crate::scenario::ProtocolKind;
+        let tcp =
+            ScenarioSpec::quick(ProtocolKind::Tcp(snake_tcp::Profile::linux_3_13())).with_seed(7);
+        let dccp =
+            ScenarioSpec::evaluation(ProtocolKind::Dccp(snake_dccp::DccpProfile::linux_3_13()))
+                .with_seed(7);
+        assert_eq!(scenario_digest(&tcp, 0.5, 1), 0xa05d_644d_9653_7e56);
+        assert_eq!(scenario_digest(&dccp, 0.5, 1), 0x0ce3_abf2_f5ee_9337);
+    }
+
+    #[test]
+    fn digest_moves_with_every_verdict_relevant_knob() {
+        use crate::scenario::ProtocolKind;
+        use snake_netsim::Impairment;
+        let spec = ScenarioSpec::quick(ProtocolKind::Tcp(snake_tcp::Profile::linux_3_13()));
+        let base = scenario_digest(&spec, 0.5, 1);
+        assert_eq!(base, scenario_digest(&spec.clone(), 0.5, 1), "stable");
+        assert_ne!(base, scenario_digest(&spec, 0.4, 1), "threshold");
+        assert_ne!(base, scenario_digest(&spec, 0.5, 3), "baseline reps");
+        let mut other = spec.clone();
+        other.seed += 1;
+        assert_ne!(base, scenario_digest(&other, 0.5, 1), "seed");
+        let impaired = spec
+            .clone()
+            .with_impairment(Impairment::preset("lossy").unwrap());
+        assert_ne!(base, scenario_digest(&impaired, 0.5, 1), "impairment");
+        let mut shorter = spec;
+        shorter.data_secs -= 1;
+        assert_ne!(base, scenario_digest(&shorter, 0.5, 1), "workload");
     }
 
     #[test]

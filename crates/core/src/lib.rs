@@ -68,7 +68,6 @@ mod campaign;
 mod detect;
 pub mod journal;
 mod manifest;
-mod memostore;
 mod report;
 mod scenario;
 pub mod search;
@@ -85,8 +84,8 @@ pub use detect::{
     baseline_valid, detect, detect_enveloped, Envelope, Verdict, DEFAULT_THRESHOLD,
     TABLE_LEAK_MARGIN,
 };
+pub use journal::scenario_digest;
 pub use manifest::build_run_manifest;
-pub use memostore::{scenario_digest, MemoStore, MemoStoreReport, StoreScope, MEMO_STORE_VERSION};
 pub use report::{render_table1, render_table2};
 pub use scenario::{
     Executor, ExecutorOptions, FlowGroup, FlowRole, PlannedExecutor, ProtocolKind, RunInfo,

@@ -84,8 +84,7 @@ mod tests {
             }],
             resumed: 0,
             journal_lines_skipped: 0,
-            memo_hits: 0,
-            short_circuits: 0,
+            runs_avoided: 0,
             baseline_reps: 1,
             envelope: crate::detect::Envelope::from_baseline(
                 &TestMetrics::empty(),
@@ -94,7 +93,6 @@ mod tests {
             escalated: 0,
             stalls: 0,
             quarantined: 0,
-            memo_store: None,
         }
     }
 

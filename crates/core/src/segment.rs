@@ -14,7 +14,7 @@
 //! journal, flushed line by line. A controller crash then resumes by
 //! merging the segments: any outcome present in a segment but absent
 //! from the journal is *prefetched* and replayed through the normal
-//! admission path (memo ledger, journal append, counter fold) in exact
+//! admission path (journal append, counter fold) in exact
 //! strategy-index order, so the resumed run admits byte-identical
 //! results without re-evaluating anything a worker already finished.
 //!

@@ -41,11 +41,11 @@
 //!   encoding.
 //!
 //! Determinism is owned entirely by the controller: workers never touch
-//! the journal, the memo store or the admission ledger. Outcomes are
-//! admitted strictly in strategy-index order through the same reorder
-//! buffer the in-process thread pool uses, so TSV, manifest and memo
-//! markers are bit-identical at any shard count — including zero, the
-//! in-process fallback the controller degrades to when every shard dies.
+//! the journal or admission. Outcomes are admitted strictly in
+//! strategy-index order through the same reorder buffer the in-process
+//! thread pool uses, so TSV, manifest and memo markers are bit-identical
+//! at any shard count — including zero, the in-process fallback the
+//! controller degrades to when every shard dies.
 //!
 //! # Supervision and crash tolerance
 //!
@@ -104,8 +104,7 @@ use crate::campaign::{
     build_envelope, evaluate_watched, CampaignConfig, ChaosPlan, SharedCtx, StrategyOutcome,
 };
 use crate::detect::baseline_valid;
-use crate::journal::{checksummed_line, counters_json, verify_line};
-use crate::memostore::scenario_digest;
+use crate::journal::{checksummed_line, counters_json, scenario_digest, verify_line};
 use crate::scenario::{
     ExecutorOptions, FlowGroup, FlowRole, PlannedExecutor, ProtocolKind, ScenarioSpec, TopologySpec,
 };
@@ -758,9 +757,11 @@ impl Observer for CounterAccumulator {
 }
 
 /// Parses the `SNAKE_SHARD_EXIT_AFTER="<shard>:<k>"` test hook: the
-/// matching worker calls `process::exit` after sending `k` outcomes
-/// (`k = 0` exits right after the `ready` handshake). Used by the
-/// shard-death determinism tests; ignored unless the shard index matches.
+/// matching worker calls `process::exit` after the first outcome at or
+/// after the `k`th that leaves indices of its current range unevaluated,
+/// so the controller always has outstanding work to re-dispatch (`k = 0`
+/// exits right after the `ready` handshake). Used by the shard-death
+/// determinism tests; ignored unless the shard index matches.
 fn exit_after_hook(shard: u64) -> Option<u64> {
     let spec = env::var("SNAKE_SHARD_EXIT_AFTER").ok()?;
     let (target, count) = spec.split_once(':')?;
@@ -817,7 +818,7 @@ pub fn connect_with_backoff(
 /// connection.
 ///
 /// The worker is stateless between ranges and owns no campaign artifacts
-/// beyond its segment file: no journal, no memo store, no verdict ledger.
+/// beyond its segment file: no journal, no admission.
 /// If it dies mid-range the controller re-dispatches the unfinished
 /// indices elsewhere, and already-admitted outcomes are never re-run.
 pub fn run_shard_worker(addr: &str) -> io::Result<()> {
@@ -896,7 +897,6 @@ pub fn run_shard_worker(addr: &str) -> io::Result<()> {
         progress_every: 0,
         snapshot_fork: job.snapshot_fork,
         memoize: job.memoize,
-        memo_store: None,
         fault_hook: None,
         chaos: None,
         baseline_reps: job.baseline_reps,
@@ -1044,10 +1044,10 @@ pub fn run_shard_worker(addr: &str) -> io::Result<()> {
                             }
                         }
                         sent += 1;
-                        if exit_after == Some(sent) {
-                            // The hook simulates a worker dying *after*
-                            // this outcome reached the wire, so drain the
-                            // batch buffer before exiting.
+                        if exit_after.is_some_and(|k| sent >= k) && offset + 1 < strategies.len() {
+                            // The hook simulates a worker dying mid-range
+                            // *after* this outcome reached the wire, so
+                            // drain the batch buffer before exiting.
                             writer.lock().unwrap().flush()?;
                             std::process::exit(EXIT_AFTER_CODE);
                         }

@@ -55,18 +55,6 @@ pub struct ProxyReport {
     pub lied: u64,
     /// Packets injected.
     pub injected: u64,
-    /// First lane of the wire-effect fingerprint: a running hash over every
-    /// actual effect the active strategy had on the wire (drops, copies,
-    /// delays, reflected and mutated bytes, injections), each keyed by the
-    /// packet index or injection time it occurred at. A run with no effects
-    /// keeps the zero fingerprint, bit-identical to the baseline's; two runs
-    /// with equal fingerprints produced the same visible packet stream, so
-    /// the campaign can share one verdict between them.
-    pub effect_fp_a: u64,
-    /// Second, independently keyed fingerprint lane (different rotation and
-    /// multiplier), so sharing requires agreement of both lanes — a single
-    /// 64-bit collision is not enough to cross-contaminate verdicts.
-    pub effect_fp_b: u64,
     /// Effective hits per rule, as sparse `(rule index, count)` pairs
     /// sorted by index. A rule is credited once per wire effect it causes
     /// — the same discipline as `matched`/`injected`, so a run whose rules
@@ -147,15 +135,6 @@ impl PacketFirstSeen {
             }
         }
     }
-}
-
-/// Hashes a byte slice with the deterministic netsim hasher (for folding
-/// packet contents into the effect fingerprint).
-fn fx_hash_bytes(bytes: &[u8]) -> u64 {
-    use std::hash::Hasher;
-    let mut h = snake_netsim::FxHasher::default();
-    h.write(bytes);
-    h.finish()
 }
 
 #[derive(Debug, Clone)]
@@ -318,23 +297,6 @@ impl AttackProxy {
             }
             _ => false,
         })
-    }
-
-    /// Folds one wire effect into both fingerprint lanes: a category code,
-    /// the packet index (or injection time) it happened at, and an
-    /// effect-specific detail word. Lanes use different rotations,
-    /// pre-whitening, and multipliers, so agreement on both is required
-    /// for two runs to be considered effect-identical.
-    fn fp_fold_event(&mut self, category: u64, index: u64, detail: u64) {
-        const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-        const MULT_A: u64 = 0x517c_c1b7_2722_0a95;
-        const MULT_B: u64 = 0x2545_F491_4F6C_DD1D;
-        let r = &mut self.report;
-        for w in [category, index, detail] {
-            r.effect_fp_a = (r.effect_fp_a.rotate_left(5) ^ w).wrapping_mul(MULT_A);
-            r.effect_fp_b =
-                (r.effect_fp_b.rotate_left(7) ^ w.wrapping_add(GOLDEN)).wrapping_mul(MULT_B);
-        }
     }
 
     /// Enables baseline trigger-timeline recording (off by default; costs
@@ -523,15 +485,9 @@ impl AttackProxy {
                 // Spread the burst inside the tick to avoid a single
                 // line-rate spike.
                 let spread = SimDuration::from_micros(i * 100);
-                let header_hash = fx_hash_bytes(&pkt.header);
                 ctx.inject(pkt, toward_b, spread);
                 self.report.injected += 1;
                 self.bump_rule_hit(rule_index);
-                self.fp_fold_event(
-                    7,
-                    (ctx.now() + spread).as_nanos(),
-                    header_hash ^ toward_b as u64,
-                );
             }
             run.next_seq = (run.next_seq.wrapping_add(run.stride.max(1))) & mask;
             run.remaining -= 1;
@@ -565,14 +521,10 @@ impl AttackProxy {
         mut packet: Packet,
         toward_b: bool,
     ) {
-        // Fingerprint folds key each effect to the index of the packet it
-        // hit (`packets_seen` was already incremented for this packet).
-        let idx = self.report.packets_seen;
         match attack {
             BasicAttack::Drop { percent } => {
                 self.count_match(ri);
                 let hit = self.rng.gen_range(0u32..100) < *percent as u32;
-                self.fp_fold_event(1, idx, hit as u64);
                 if hit {
                     self.report.dropped += 1;
                 } else {
@@ -581,7 +533,6 @@ impl AttackProxy {
             }
             BasicAttack::Duplicate { copies } => {
                 self.count_match(ri);
-                self.fp_fold_event(2, idx, *copies as u64);
                 for _ in 0..*copies {
                     ctx.forward(packet.clone(), toward_b);
                     self.report.duplicates += 1;
@@ -591,13 +542,11 @@ impl AttackProxy {
             BasicAttack::Delay { secs } => {
                 self.count_match(ri);
                 self.report.delayed += 1;
-                self.fp_fold_event(3, idx, secs.to_bits());
                 ctx.forward_delayed(packet, toward_b, SimDuration::from_secs_f64(*secs));
             }
             BasicAttack::Batch { secs } => {
                 self.count_match(ri);
                 self.report.batched += 1;
-                self.fp_fold_event(4, idx, secs.to_bits());
                 self.batch.push((packet, toward_b));
                 if !self.batch_armed {
                     self.batch_armed = true;
@@ -608,7 +557,6 @@ impl AttackProxy {
                 self.count_match(ri);
                 self.report.reflected += 1;
                 swap_endpoints(&self.adapter.spec(), &mut packet);
-                self.fp_fold_event(5, idx, fx_hash_bytes(&packet.header));
                 ctx.send_back(packet, toward_b);
             }
             BasicAttack::Lie { field, mutation } => {
@@ -616,8 +564,8 @@ impl AttackProxy {
                 // wrote the value the field already held, the header failed
                 // to parse, or the mutation was out of range — is a wire
                 // no-op: forward the original bytes untouched and count
-                // nothing, so an all-no-op run's report (fingerprint
-                // included) stays bit-identical to the baseline's.
+                // nothing, so an all-no-op run's report stays bit-identical
+                // to the baseline's.
                 let spec = self.adapter.spec();
                 let original = packet.header.clone();
                 let mut changed = false;
@@ -636,7 +584,6 @@ impl AttackProxy {
                 if changed {
                     self.count_match(ri);
                     self.report.lied += 1;
-                    self.fp_fold_event(6, idx, fx_hash_bytes(&packet.header));
                 }
                 ctx.forward(packet, toward_b);
             }

@@ -1,31 +1,15 @@
 #!/usr/bin/env bash
 # Campaign throughput benchmark, end to end.
 #
-# Times the quick TCP Linux-3.13 campaign (200-strategy cap) three-and-a-
-# half ways and writes BENCH_campaign.json at the repo root (appending the
-# run to the file's `history` array rather than overwriting the trend):
+# Times the quick TCP Linux-3.13 campaign (200-strategy cap) three ways
+# and writes BENCH_campaign.json at the repo root (appending the run to
+# the file's `history` array rather than overwriting the trend):
 #
-#   1. memoized executor      (current tree)      — the default runtime:
-#      snapshot forking plus wire-effect memoization (inert elision,
-#      OnState class sharing, fingerprint verdict cache, no-op halt);
-#      the JSON records its memo / short-circuit hit rates
-#   2. snapshot-fork executor (current tree)      — memoization off
-#   3. from-scratch executor  (current tree)      — same binary, forking off
-#   4. from-scratch executor  (pre-snapshot-fork) — the executor as it was
-#      before forked execution existed, built from PRE_PR_REF in a
-#      throwaway worktree using scripts/prepr_campaign.rs
-#
-# (1)–(3) come from the `campaign_throughput` bench; (4) is measured here
-# and handed to the bench via SNAKE_PRE_PR_WALL_SECS so the JSON can
-# record the cross-commit speedup alongside the same-binary one. If the
-# comparator commit is unreachable (shallow clone) the script degrades to
-# the same-binary comparison only.
-#
-# The bench additionally runs a warm-store rep: mode (1) twice against one
-# persistent memo store (--memo-store), cold then warm, asserting the warm
-# rerun is bit-identical and serves >= 50% of its eligible runs from disk;
-# the figures land in the JSON's `warm_store` block. The store file is
-# kept at $SNAKE_MEMO_STORE when set (CI archives it), else a temp file.
+#   1. memoized executor — the default runtime: snapshot forking plus
+#      memoization (inert elision, OnState class sharing, no-op halt);
+#      the JSON records how many runs memoization avoided
+#   2. snapshot-fork executor — memoization off
+#   3. from-scratch executor  — same binary, forking off
 #
 # Finally, a sharded rep runs the from-scratch campaign at S in {1,2,4}
 # worker *processes* (the `snake shard-worker` executors, spawned from the
@@ -41,25 +25,4 @@ cargo build --release -p snake-core --bin snake
 SNAKE_BIN="$(pwd)/target/release/snake"
 export SNAKE_BIN
 
-# The last commit before snapshot-fork execution landed: every strategy ran
-# from scratch and the event-loop hot path still cloned per hop.
-PRE_PR_REF="${PRE_PR_REF:-a80cb1c638d462aa5182061c4868d712e1f13e12}"
-WORKTREE=.bench-prepr
-
-pre_pr_secs=""
-if git rev-parse --verify --quiet "${PRE_PR_REF}^{commit}" >/dev/null; then
-    trap 'git worktree remove --force "$WORKTREE" 2>/dev/null || true' EXIT
-    git worktree add --force "$WORKTREE" "$PRE_PR_REF"
-    mkdir -p "$WORKTREE/crates/core/examples"
-    cp scripts/prepr_campaign.rs "$WORKTREE/crates/core/examples/prepr_campaign.rs"
-    (cd "$WORKTREE" && cargo build --release --example prepr_campaign)
-    pre_pr_secs=$("$WORKTREE/target/release/examples/prepr_campaign" \
-        | sed -n 's/^PRE_PR_WALL_SECS=//p')
-    echo "pre-PR from-scratch executor (${PRE_PR_REF:0:12}): ${pre_pr_secs}s"
-else
-    echo "warning: comparator commit $PRE_PR_REF not found; skipping" >&2
-fi
-
-SNAKE_PRE_PR_WALL_SECS="$pre_pr_secs" \
-SNAKE_PRE_PR_COMMIT="$PRE_PR_REF" \
-    cargo bench -p snake-bench --bench campaign_throughput
+cargo bench -p snake-bench --bench campaign_throughput

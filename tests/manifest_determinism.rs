@@ -5,11 +5,10 @@
 //! a killed-and-resumed campaign must reproduce the uninterrupted run's
 //! memo section exactly.
 //!
-//! Worker count must NOT matter: outcomes are admitted (memo markers
-//! assigned, fingerprint cache updated, journal appended) strictly in
-//! strategy-index order through the batch release buffer, so the `fp`
-//! provenance markers — and with them the whole manifest — are identical
-//! at any parallelism, for fresh and resumed campaigns alike.
+//! Worker count must NOT matter: outcomes are admitted (journal appended)
+//! strictly in strategy-index order through the batch release buffer, so
+//! the provenance markers — and with them the whole manifest — are
+//! identical at any parallelism, for fresh and resumed campaigns alike.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -86,21 +85,15 @@ fn manifest_memo_totals_equal_campaign_counters() {
     let (result, snapshot) = observed_campaign(None);
     let manifest = build_run_manifest(&result, &snapshot, 0.0);
     let memo = manifest.section("memo").expect("memo section present");
-    assert_eq!(u64_at(memo, "memo_hits"), result.memo_hits as u64);
-    assert_eq!(u64_at(memo, "short_circuits"), result.short_circuits as u64);
+    assert_eq!(u64_at(memo, "runs_avoided"), result.runs_avoided as u64);
     let breakdown = memo.get("breakdown").expect("breakdown present");
     assert_eq!(
-        u64_at(breakdown, "class") + u64_at(breakdown, "fingerprint"),
-        result.memo_hits as u64,
-        "memo hits are exactly the class + fingerprint outcomes"
-    );
-    assert_eq!(
-        u64_at(breakdown, "inert") + u64_at(breakdown, "halt"),
-        result.short_circuits as u64,
-        "short-circuits are exactly the inert + halt outcomes"
+        u64_at(breakdown, "inert") + u64_at(breakdown, "class"),
+        result.runs_avoided as u64,
+        "runs avoided are exactly the inert + class outcomes"
     );
     assert!(
-        result.memo_hits + result.short_circuits > 0,
+        result.runs_avoided > 0,
         "the quick campaign must exercise the memo layers at all"
     );
 }
@@ -185,12 +178,8 @@ fn resumed_campaign_reproduces_the_memo_section() {
 
     assert_eq!(resumed.resumed, 12, "twelve journaled outcomes reused");
     assert_eq!(
-        resumed.memo_hits, full.memo_hits,
-        "resume must reproduce the memo-hit total"
-    );
-    assert_eq!(
-        resumed.short_circuits, full.short_circuits,
-        "resume must reproduce the short-circuit total"
+        resumed.runs_avoided, full.runs_avoided,
+        "resume must reproduce the runs-avoided total"
     );
     let memo_of = |result: &CampaignResult, snapshot: &RecorderSnapshot| {
         build_run_manifest(result, snapshot, 0.0)

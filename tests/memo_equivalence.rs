@@ -1,9 +1,9 @@
 //! Memoization equivalence: campaigns with memoization on must produce
 //! outcomes bit-identical to campaigns with memoization off, on every
 //! shipped implementation profile. Memoization (inert-strategy elision,
-//! `OnState` class sharing, fingerprint verdict caching, the proxy's no-op
-//! halt) is a throughput knob, never a results knob — the same contract the
-//! snapshot-fork planner already honours.
+//! `OnState` class sharing, the proxy's no-op halt) is a throughput knob,
+//! never a results knob — the same contract the snapshot-fork planner
+//! already honours.
 
 use std::path::PathBuf;
 
@@ -63,18 +63,18 @@ fn memoized_campaigns_match_unmemoized_on_every_profile() {
             comparable(&without.outcomes),
             "{name}: memoization changed campaign outcomes"
         );
-        assert_eq!(without.memo_hits, 0);
-        assert_eq!(without.short_circuits, 0);
+        assert_eq!(without.runs_avoided, 0);
+        assert!(without.outcomes.iter().all(|o| o.memo.is_none()));
     }
 }
 
 #[test]
 fn memoized_campaigns_match_unmemoized_under_impairments() {
-    // Memoization keys on wire fingerprints and trigger classes; impaired
-    // links add loss and reorder noise to both. The equivalence contract
-    // must hold anyway: the same noise is deterministic per seed, so a
-    // memoized impaired campaign and an unmemoized one still agree bit
-    // for bit.
+    // Memoization keys on static inertness and trigger classes; impaired
+    // links add loss and reorder noise to the runs behind both. The
+    // equivalence contract must hold anyway: the same noise is
+    // deterministic per seed, so a memoized impaired campaign and an
+    // unmemoized one still agree bit for bit.
     for preset in ["lossy", "flappy"] {
         let impair = Impairment::preset(preset).expect("built-in preset");
         for protocol in [
@@ -97,8 +97,7 @@ fn memoized_campaigns_match_unmemoized_under_impairments() {
 #[test]
 fn memoization_is_transparent_under_retesting() {
     // With re-testing on, class sharing must also cover the re-test seed's
-    // runs (the composite class key), and flagged verdicts must never be
-    // served from the fingerprint cache.
+    // runs (the composite class key).
     let spec = ScenarioSpec::quick(ProtocolKind::Tcp(Profile::linux_3_13()));
     let config = |memoize| {
         CampaignConfig::builder(spec.clone())
@@ -143,14 +142,22 @@ fn memoized_tcp_campaign_reports_hits() {
         .expect("valid config");
     let result = Campaign::run(config).expect("valid baseline");
     assert_eq!(result.strategies_tried(), 200);
+    let marked_as = |marker: &str| {
+        result
+            .outcomes
+            .iter()
+            .filter(|o| o.memo.as_deref() == Some(marker))
+            .count()
+    };
     assert!(
-        result.short_circuits > 0,
+        marked_as("inert") > 0,
         "no strategy was short-circuited as provably inert"
     );
     assert!(
-        result.memo_hits > 0,
+        marked_as("class") > 0,
         "no outcome was shared via memoization"
     );
+    assert_eq!(result.runs_avoided, marked_as("inert") + marked_as("class"));
     let marked = result.outcomes.iter().filter(|o| o.memo.is_some()).count();
     assert!(
         marked > 0,

@@ -5,12 +5,11 @@
 //! mid-campaign.
 //!
 //! Why this holds by construction: workers only *evaluate* strategies;
-//! every admission decision (memo-ledger lookup and insert, journal
-//! append, outcome accounting) happens on the controller, strictly in
-//! strategy-index order through the same reorder buffer the thread-pool
-//! path uses. A dead shard's unfinished indices are re-dispatched to the
-//! surviving shards, so a crash changes only who evaluated a strategy,
-//! never what was admitted.
+//! every admission step (journal append, outcome accounting) happens on
+//! the controller, strictly in strategy-index order through the same
+//! reorder buffer the thread-pool path uses. A dead shard's unfinished
+//! indices are re-dispatched to the surviving shards, so a crash changes
+//! only who evaluated a strategy, never what was admitted.
 //!
 //! These tests spawn real `snake shard-worker` child processes (the
 //! binary Cargo builds for this test run) and serialize on a global lock:
@@ -200,14 +199,17 @@ fn four_shards_match_single_process_on_a_generated_multiflow_profile() {
 fn a_shard_killed_mid_range_changes_nothing() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let spec = ScenarioSpec::quick(ProtocolKind::Tcp(Profile::linux_3_13()));
-    let reference = run(spec.clone(), 0, 12);
+    let reference = run(spec.clone(), 0, 20);
 
-    // Shard 1 exits (kill-switch in the worker binary) right after its
-    // second outcome — mid-range, with work still outstanding. The
-    // controller must re-dispatch its unfinished indices to the
-    // survivors without re-admitting anything already merged.
+    // Shard 1 exits (kill-switch in the worker binary) after the first
+    // outcome from its second onward that leaves part of its range
+    // unevaluated. Twenty strategies leave eighteen to run, cut into
+    // two-index ranges, and shard 1 is handed two of them up front, so
+    // the kill lands mid-range by construction. The controller must
+    // re-dispatch its unfinished indices to the survivors without
+    // re-admitting anything already merged.
     std::env::set_var("SNAKE_SHARD_EXIT_AFTER", "1:2");
-    let sharded = run(spec, 4, 12);
+    let sharded = run(spec, 4, 20);
     std::env::remove_var("SNAKE_SHARD_EXIT_AFTER");
 
     assert_identical("kill-mid-range", &reference, &sharded, 4);
