@@ -1,9 +1,9 @@
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use snake_observe::{self as observe, Observer};
@@ -14,9 +14,7 @@ use crate::detect::{baseline_valid, detect_enveloped, Envelope, Verdict, DEFAULT
 use crate::journal::{self, scenario_digest, JournalHeader, JournalWriter};
 use crate::scenario::{Executor, ExecutorOptions, PlannedExecutor, ScenarioSpec, TestMetrics};
 use crate::segment::{self, SegmentEntry};
-use crate::shard::{
-    intern_counter, PoolWait, ShardEvent, ShardPool, DEFAULT_HEARTBEAT, DEFAULT_SHARD_TIMEOUT,
-};
+use crate::shard::{intern_counter, ShardPool, DEFAULT_HEARTBEAT, DEFAULT_SHARD_TIMEOUT};
 use crate::strategen::{generate_strategies, is_on_path, is_self_denial, GenerationParams};
 
 /// Configuration of one campaign: one implementation under test, searched
@@ -1106,75 +1104,11 @@ impl Campaign {
     /// continues. Errors are reserved for broken preconditions (invalid
     /// baseline) and journal I/O.
     pub fn run(config: CampaignConfig) -> Result<CampaignResult, CampaignError> {
-        let spec = config.scenario.clone();
-        // A fault hook (or evaluation-side chaos) must see every strategy,
-        // so memoization (which answers some strategies without ever
-        // evaluating them) is forced off under fault injection. Wire-side
-        // chaos never touches evaluation, so it leaves memoization alone —
-        // that is exactly what lets the wire-chaos tests demand output
-        // identical to an unperturbed run.
-        let memoize = config.memoize
-            && config.fault_hook.is_none()
-            && !config.chaos.is_some_and(|c| c.has_eval_faults());
-        let exec_options = ExecutorOptions {
-            snapshot_fork: config.snapshot_fork,
-            memoize,
-            halt_arming: true,
-            observer: config.observer.clone(),
-        };
-        let exec = PlannedExecutor::new(&spec, exec_options.clone());
-        let baseline = exec.baseline().clone();
-        if !baseline_valid(&baseline) {
-            return Err(CampaignError::InvalidBaseline {
-                implementation: spec.protocol.implementation_name().to_owned(),
-            });
-        }
-        // The repeatability re-test compares a different-seed attack run
-        // against the matching different-seed baseline.
-        let retest_spec = ScenarioSpec {
-            seed: spec.seed.wrapping_add(1),
-            ..spec.clone()
-        };
-        let retest_exec = if config.retest {
-            Some(PlannedExecutor::new(&retest_spec, exec_options))
-        } else {
-            None
-        };
-
-        // Detection envelopes. With `baseline_reps == 1` the envelope is
-        // the single baseline and `detect_enveloped` degenerates to the
-        // legacy `detect` — bit-identical verdicts. With reps ≥ 2, K−1
-        // extra seed-jittered no-attack runs widen the band by the noise
-        // the scenario (impairments included) actually exhibits.
-        let envelope = {
-            let _span = observe::span(config.observer.as_ref(), "phase.ensemble", 0);
-            build_envelope(&spec, &baseline, config.baseline_reps, config.threshold)
-        };
-        let retest_envelope = retest_exec.as_ref().map(|retest| {
-            let _span = observe::span(config.observer.as_ref(), "phase.ensemble", 0);
-            build_envelope(
-                &retest_spec,
-                retest.baseline(),
-                config.baseline_reps,
-                config.threshold,
-            )
-        });
-        if config.observer.enabled() {
-            let obs = config.observer.as_ref();
-            obs.counter_add("detect.envelope.members", envelope.members as u64);
-            obs.counter_add(
-                "detect.envelope.target_lo",
-                envelope.target_lo.max(0.0) as u64,
-            );
-            obs.counter_add(
-                "detect.envelope.target_hi",
-                envelope.target_hi.max(0.0) as u64,
-            );
-            obs.counter_add(
-                "detect.envelope.width_permille",
-                (envelope.target_width_fraction() * 1000.0) as u64,
-            );
-        }
+        let shared = Arc::new(SharedCtx::new(config)?);
+        let config = &shared.config;
+        let spec = &config.scenario;
+        let memoize = shared.memoize;
+        let baseline = shared.exec.baseline().clone();
 
         // Journal setup: load previous outcomes when resuming, then keep a
         // writer open for streaming appends. The header records the
@@ -1232,7 +1166,7 @@ impl Campaign {
             }
         };
 
-        let digest = scenario_digest(&spec, config.threshold, config.baseline_reps);
+        let digest = scenario_digest(spec, config.threshold, config.baseline_reps);
 
         // Journal segments — the worker-side crash-tolerance layer. A
         // resuming controller merges whatever the crashed run's workers
@@ -1352,17 +1286,6 @@ impl Campaign {
         let mut outcomes: Vec<StrategyOutcome> = Vec::new();
         let mut resumed = 0usize;
         let mut reports = vec![baseline.proxy.clone()];
-        let shared = Arc::new(SharedCtx {
-            exec,
-            retest_exec,
-            config: config.clone(),
-            memoize,
-            envelope,
-            retest_envelope,
-            escalated: AtomicUsize::new(0),
-            stalls: AtomicUsize::new(0),
-            quarantined: AtomicUsize::new(0),
-        });
 
         // The controller/executor split (paper §V): shard strategy
         // execution across worker processes. The pool is best-effort by
@@ -1372,7 +1295,7 @@ impl Campaign {
         // way: generation, admission and journal never leave this process.
         let mut pool = if config.shards > 0 {
             let _span = observe::span(config.observer.as_ref(), "phase.shard_launch", 0);
-            match ShardPool::launch(&config, memoize, seg_dir.clone()) {
+            match ShardPool::launch(config, memoize, seg_dir.clone()) {
                 Ok(pool) => {
                     if pool.live() == 0 {
                         eprintln!(
@@ -1490,10 +1413,7 @@ impl Campaign {
                     _ => None,
                 })
                 .collect();
-            let ran = match pool.as_mut().filter(|p| p.live() > 0) {
-                Some(pool) => run_batch_sharded(&shared, batch, pre, pool, &on_outcome),
-                None => run_batch(&shared, batch, pre, config.parallelism, &on_outcome),
-            };
+            let ran = run_batch(&shared, batch, pre, pool.as_mut(), &on_outcome);
             for (i, outcome) in indices.into_iter().zip(ran) {
                 round[i] = Some(outcome);
             }
@@ -1594,7 +1514,7 @@ fn ensemble_seed(seed: u64, k: usize) -> u64 {
 
 /// Builds the detection envelope: the campaign's own baseline plus
 /// `reps − 1` plain from-scratch no-attack runs at jittered seeds.
-pub(crate) fn build_envelope(
+fn build_envelope(
     spec: &ScenarioSpec,
     baseline: &TestMetrics,
     reps: usize,
@@ -1636,6 +1556,97 @@ pub(crate) struct SharedCtx {
     pub(crate) stalls: AtomicUsize,
     /// Strategies quarantined after the stall retry budget.
     pub(crate) quarantined: AtomicUsize,
+}
+
+impl SharedCtx {
+    /// Stands up everything evaluation needs: the planned executors for
+    /// the main and re-test seeds, the baseline validity check, and both
+    /// detection envelopes. The controller and every shard worker build
+    /// their context here, so both evaluate against the same set-up.
+    pub(crate) fn new(config: CampaignConfig) -> Result<SharedCtx, CampaignError> {
+        let spec = &config.scenario;
+        // A fault hook (or evaluation-side chaos) must see every strategy,
+        // so memoization (which answers some strategies without ever
+        // evaluating them) is forced off under fault injection. Wire-side
+        // chaos never touches evaluation, so it leaves memoization alone —
+        // that is exactly what lets the wire-chaos tests demand output
+        // identical to an unperturbed run.
+        let memoize = config.memoize
+            && config.fault_hook.is_none()
+            && !config.chaos.is_some_and(|c| c.has_eval_faults());
+        let exec_options = ExecutorOptions {
+            snapshot_fork: config.snapshot_fork,
+            memoize,
+            halt_arming: true,
+            observer: config.observer.clone(),
+        };
+        let exec = PlannedExecutor::new(spec, exec_options.clone());
+        if !baseline_valid(exec.baseline()) {
+            return Err(CampaignError::InvalidBaseline {
+                implementation: spec.protocol.implementation_name().to_owned(),
+            });
+        }
+        // The repeatability re-test compares a different-seed attack run
+        // against the matching different-seed baseline.
+        let retest_spec = ScenarioSpec {
+            seed: spec.seed.wrapping_add(1),
+            ..spec.clone()
+        };
+        let retest_exec = config
+            .retest
+            .then(|| PlannedExecutor::new(&retest_spec, exec_options));
+
+        // Detection envelopes. With `baseline_reps == 1` the envelope is
+        // the single baseline and `detect_enveloped` degenerates to the
+        // legacy `detect` — bit-identical verdicts. With reps ≥ 2, K−1
+        // extra seed-jittered no-attack runs widen the band by the noise
+        // the scenario (impairments included) actually exhibits.
+        let observer = config.observer.as_ref();
+        let envelope = {
+            let _span = observe::span(observer, "phase.ensemble", 0);
+            build_envelope(
+                spec,
+                exec.baseline(),
+                config.baseline_reps,
+                config.threshold,
+            )
+        };
+        let retest_envelope = retest_exec.as_ref().map(|retest| {
+            let _span = observe::span(observer, "phase.ensemble", 0);
+            build_envelope(
+                &retest_spec,
+                retest.baseline(),
+                config.baseline_reps,
+                config.threshold,
+            )
+        });
+        if observer.enabled() {
+            observer.counter_add("detect.envelope.members", envelope.members as u64);
+            observer.counter_add(
+                "detect.envelope.target_lo",
+                envelope.target_lo.max(0.0) as u64,
+            );
+            observer.counter_add(
+                "detect.envelope.target_hi",
+                envelope.target_hi.max(0.0) as u64,
+            );
+            observer.counter_add(
+                "detect.envelope.width_permille",
+                (envelope.target_width_fraction() * 1000.0) as u64,
+            );
+        }
+        Ok(SharedCtx {
+            exec,
+            retest_exec,
+            config,
+            memoize,
+            envelope,
+            retest_envelope,
+            escalated: AtomicUsize::new(0),
+            stalls: AtomicUsize::new(0),
+            quarantined: AtomicUsize::new(0),
+        })
+    }
 }
 
 pub(crate) type Shared = Arc<SharedCtx>;
@@ -1987,11 +1998,8 @@ impl WorkerClock {
 
 /// Holds outcomes finished out of order until every lower-index outcome
 /// has been admitted, so admission and journaling happen strictly in
-/// strategy-index order at any worker count — exactly the sequence a
-/// single worker would produce.
-/// Entries carry the worker counter deltas to fold at admission (`None`
-/// for outcomes evaluated in this process, whose counters reached the
-/// observer directly).
+/// strategy-index order at any worker or shard count — exactly the
+/// sequence a single worker would produce.
 struct ReleaseState {
     /// The next strategy index to admit.
     next: usize,
@@ -2006,23 +2014,19 @@ struct ReleaseState {
 /// the observer directly).
 type PendingOutcome = (StrategyOutcome, Option<Vec<(String, u64)>>);
 
-/// Admission callback threaded through the batch runtimes: the admitted
+/// Admission callback threaded through the batch runtime: the admitted
 /// outcome plus its worker counter deltas, if any.
 type OnOutcome<'a> = &'a (dyn Fn(&StrategyOutcome, Option<&[(String, u64)]>) + Sync);
 
-/// An outcome a shard (or a segment prefetch) delivered, with the worker
-/// counter deltas that rode along with it.
-type DeliveredOutcome = (StrategyOutcome, Vec<(String, u64)>);
+/// Hands one evaluated index to the release buffer, from any executor:
+/// a local thread, a shard link, or the segment prefetch.
+pub(crate) type Admit<'a> = &'a (dyn Fn(usize, StrategyOutcome, Option<Vec<(String, u64)>>) + Sync);
 
 /// Admits the contiguous ready prefix of the release buffer: fold the
-/// entry's counter deltas (segment-prefetched outcomes carry the crashed
-/// run's worker tallies), then journal.
+/// entry's counter deltas (shard and segment-prefetched outcomes carry
+/// their worker's tallies), then journal.
 fn drain_release(state: &mut ReleaseState, shared: &Shared, on_outcome: OnOutcome<'_>) {
-    loop {
-        let turn = state.next;
-        let Some((outcome, counters)) = state.pending.remove(&turn) else {
-            break;
-        };
+    while let Some((outcome, counters)) = state.pending.remove(&state.next) {
         if let Some(counters) = &counters {
             fold_worker_counters(shared, counters);
         }
@@ -2032,97 +2036,196 @@ fn drain_release(state: &mut ReleaseState, shared: &Shared, on_outcome: OnOutcom
     }
 }
 
-/// Runs a batch of strategies across `parallelism` worker threads — the
-/// paper's pool of executors with linear speedup (§V-D). Each outcome is
-/// handed to `on_outcome` (journal append, progress) as soon as every
-/// earlier-index outcome has been, so a killed process loses at most the
-/// runs that were still in flight or held back by one — and the journal
-/// is always an index-order prefix of the batch.
+/// The batch's dispatch queue: contiguous `(start, len)` index ranges
+/// still to evaluate, plus how many indices shard links hold in flight.
+/// A dead link's unfinished indices come back to the front, so an idle
+/// link waits on the condvar while another link still holds work.
+pub(crate) struct WorkQueue {
+    state: Mutex<QueueState>,
+    wake: Condvar,
+}
+
+struct QueueState {
+    ranges: VecDeque<(usize, usize)>,
+    in_flight: usize,
+}
+
+impl WorkQueue {
+    /// Queues every index `prefetched` marks `false`, as contiguous ranges
+    /// of at most `chunk` indices.
+    fn new(prefetched: &[bool], chunk: usize) -> WorkQueue {
+        let mut ranges = VecDeque::new();
+        let mut i = 0;
+        while i < prefetched.len() {
+            if prefetched[i] {
+                i += 1;
+                continue;
+            }
+            let len = prefetched[i..]
+                .iter()
+                .take(chunk)
+                .take_while(|&&done| !done)
+                .count();
+            ranges.push_back((i, len));
+            i += len;
+        }
+        WorkQueue {
+            state: Mutex::new(QueueState {
+                ranges,
+                in_flight: 0,
+            }),
+            wake: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Claims the lowest queued index (local executor threads; never
+    /// waits).
+    fn take_index(&self) -> Option<usize> {
+        let mut state = self.lock();
+        let (start, len) = state.ranges.pop_front()?;
+        if len > 1 {
+            state.ranges.push_front((start + 1, len - 1));
+        }
+        Some(start)
+    }
+
+    /// Claims the next range for a shard link. With `wait`, blocks while
+    /// the queue is empty but some link still holds work that a death
+    /// could requeue; `None` then means every index was delivered.
+    pub(crate) fn take_range(&self, wait: bool) -> Option<(usize, usize)> {
+        let mut state = self.lock();
+        loop {
+            if let Some((start, len)) = state.ranges.pop_front() {
+                state.in_flight += len;
+                return Some((start, len));
+            }
+            if !wait || state.in_flight == 0 {
+                return None;
+            }
+            state = self.wake.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Marks one in-flight index delivered.
+    pub(crate) fn settle(&self) {
+        let mut state = self.lock();
+        state.in_flight -= 1;
+        if state.in_flight == 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    /// Returns a dead link's unfinished indices to the front of the queue
+    /// as contiguous ranges, lowest index first: those are the ones
+    /// holding back admission. Returns how many ranges were re-created,
+    /// for the re-dispatch tally.
+    pub(crate) fn requeue(&self, outstanding: &mut VecDeque<usize>) -> u64 {
+        let mut indices: Vec<usize> = outstanding.drain(..).collect();
+        indices.sort_unstable();
+        let mut ranges: Vec<(usize, usize)> = Vec::new();
+        for index in indices.iter().copied() {
+            match ranges.last_mut() {
+                Some((start, len)) if *start + *len == index => *len += 1,
+                _ => ranges.push((index, 1)),
+            }
+        }
+        let mut state = self.lock();
+        state.in_flight -= indices.len();
+        for range in ranges.iter().rev() {
+            state.ranges.push_front(*range);
+        }
+        self.wake.notify_all();
+        ranges.len() as u64
+    }
+
+    /// Indices still queued.
+    fn remaining(&self) -> usize {
+        self.lock().ranges.iter().map(|&(_, len)| len).sum()
+    }
+}
+
+/// Runs a batch of strategies — the paper's controller handing strategies
+/// to a pool of executors (§V). Each outcome is handed to `on_outcome`
+/// (journal append, progress) as soon as every earlier-index outcome has
+/// been, so a killed process loses at most the runs that were still in
+/// flight or held back by one — and the journal is always an index-order
+/// prefix of the batch. TSV, journal and memo markers are therefore
+/// bit-identical whoever evaluated what.
+///
+/// Two kinds of executor drain one [`WorkQueue`] into one release buffer.
+/// With a live shard pool, each link gets a controller thread that
+/// dispatches ranges to its worker process and re-queues them if the
+/// worker dies ([`ShardPool::drive`]). Without one — or for whatever a
+/// pool that died entirely left behind — `parallelism` local threads
+/// claim one index at a time and evaluate it in this process.
 ///
 /// `pre` holds segment-prefetched outcomes (from a crashed sharded run)
-/// positionally: a `Some` index is never evaluated, its outcome replays
-/// through the identical admission sequence instead.
+/// positionally: a `Some` index is never queued, its outcome admits at its
+/// exact position with the crashed run's worker counter deltas instead.
 fn run_batch(
     shared: &Shared,
     strategies: Vec<Strategy>,
     pre: Vec<Option<SegmentEntry>>,
-    parallelism: usize,
+    pool: Option<&mut ShardPool>,
     on_outcome: OnOutcome<'_>,
 ) -> Vec<StrategyOutcome> {
     let n = strategies.len();
     if n == 0 {
         return Vec::new();
     }
-    let observer = shared.config.observer.as_ref();
-    let enabled = observer.enabled();
-    let workers = parallelism.clamp(1, n);
-    if workers == 1 {
-        let mut clock = WorkerClock::start(enabled);
-        let mut pre = pre.into_iter();
-        let out = strategies
-            .into_iter()
-            .map(|s| {
-                let (outcome, counters) = match pre.next().flatten() {
-                    Some(entry) => (entry.outcome, Some(entry.counters)),
-                    None => (clock.time(|| evaluate_watched(shared, s)), None),
-                };
-                if let Some(counters) = &counters {
-                    fold_worker_counters(shared, counters);
-                }
-                on_outcome(&outcome, counters.as_deref());
-                outcome
-            })
-            .collect();
-        clock.finish(observer);
-        return out;
-    }
-    // Lock-free work distribution: workers claim the next strategy index
-    // with a relaxed fetch-add (no queue mutex on the hot path). Finished
-    // outcomes flow through the release buffer, which admits and journals
-    // them in index order regardless of which worker finished first —
-    // evaluation itself (the expensive part) still runs fully in
-    // parallel; only the cheap admission step is serialized. Lock order
-    // is always release → journal.
-    let jobs = &strategies[..];
+    let pool = pool.filter(|pool| pool.live() > 0);
+    // Ranges of about a quarter of a link's fair share: a slow or dying
+    // shard strands little.
+    let chunk = n.div_ceil(pool.as_ref().map_or(1, |pool| pool.live()) * 4);
     let prefetched: Vec<bool> = pre.iter().map(Option::is_some).collect();
-    let mut seeded: BTreeMap<usize, PendingOutcome> = BTreeMap::new();
-    for (i, entry) in pre.into_iter().enumerate() {
-        if let Some(entry) = entry {
-            seeded.insert(i, (entry.outcome, Some(entry.counters)));
-        }
-    }
-    let next = AtomicUsize::new(0);
+    let queue = WorkQueue::new(&prefetched, chunk);
     let release = Mutex::new(ReleaseState {
         next: 0,
-        pending: seeded,
+        pending: pre
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, entry)| entry.map(|e| (i, (e.outcome, Some(e.counters)))))
+            .collect(),
         done: Vec::with_capacity(n),
     });
-    // A fully prefetched prefix (or batch) must admit even if no worker
+    // Lock order is always release → journal.
+    let admit = |index: usize, outcome: StrategyOutcome, counters| {
+        let mut state = release.lock().unwrap_or_else(|e| e.into_inner());
+        state.pending.insert(index, (outcome, counters));
+        drain_release(&mut state, shared, on_outcome);
+    };
+    // A fully prefetched prefix (or batch) must admit even if no executor
     // ever inserts ahead of it.
     drain_release(
         &mut release.lock().unwrap_or_else(|e| e.into_inner()),
         shared,
         on_outcome,
     );
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut clock = WorkerClock::start(enabled);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(strategy) = jobs.get(i) else { break };
-                    if prefetched[i] {
-                        continue;
+    if let Some(pool) = pool {
+        pool.drive(&shared.config, &queue, &strategies, chunk, &admit);
+    }
+    let left = queue.remaining();
+    if left > 0 {
+        let observer = shared.config.observer.as_ref();
+        let enabled = observer.enabled();
+        std::thread::scope(|scope| {
+            for _ in 0..shared.config.parallelism.clamp(1, left) {
+                scope.spawn(|| {
+                    let mut clock = WorkerClock::start(enabled);
+                    while let Some(i) = queue.take_index() {
+                        let outcome =
+                            clock.time(|| evaluate_watched(shared, strategies[i].clone()));
+                        admit(i, outcome, None);
                     }
-                    let outcome = clock.time(|| evaluate_watched(shared, strategy.clone()));
-                    let mut state = release.lock().unwrap_or_else(|e| e.into_inner());
-                    state.pending.insert(i, (outcome, None));
-                    drain_release(&mut state, shared, on_outcome);
-                }
-                clock.finish(observer);
-            });
-        }
-    });
+                    clock.finish(observer);
+                });
+            }
+        });
+    }
     release.into_inner().unwrap_or_else(|e| e.into_inner()).done
 }
 
@@ -2156,240 +2259,6 @@ fn fold_worker_counters(shared: &Shared, counters: &[(String, u64)]) {
         }
         observer.counter_add(interned, *delta);
     }
-}
-
-/// Returns a dead shard's not-yet-received indices to the dispatch queue
-/// as contiguous ranges, front of the queue so the lowest indices (the
-/// ones holding back admission) go back out first. Returns how many
-/// ranges were re-created, for the re-dispatch tally.
-fn requeue_outstanding(
-    queue: &mut std::collections::VecDeque<(usize, usize)>,
-    outstanding: &mut std::collections::VecDeque<usize>,
-) -> u64 {
-    let mut ranges: Vec<(usize, usize)> = Vec::new();
-    for index in outstanding.drain(..) {
-        match ranges.last_mut() {
-            Some((start, len)) if *start + *len == index => *len += 1,
-            _ => ranges.push((index, 1)),
-        }
-    }
-    let count = ranges.len() as u64;
-    for range in ranges.into_iter().rev() {
-        queue.push_front(range);
-    }
-    count
-}
-
-/// Runs a batch across the shard worker pool — the multi-process analogue
-/// of [`run_batch`], with the identical admission contract: outcomes pass
-/// through `on_outcome` strictly in strategy-index order, so journal, memo
-/// markers and TSV are bit-identical to the
-/// in-process path no matter how many shards raced, died or got their
-/// ranges re-dispatched.
-///
-/// Dispatch is pull-ish: the batch is cut into contiguous ranges of about
-/// a quarter of a shard's fair share, and each shard holds at most two
-/// ranges' worth of outstanding work, so a slow shard strands little.
-/// A shard that disconnects, breaks the framing, or answers out of
-/// contract (wrong index order, an index it was never given, a strategy
-/// id that does not match) is killed and its unfinished indices are
-/// re-dispatched. If every shard dies mid-batch the controller finishes
-/// the remainder in-process — results identical, only slower.
-///
-/// `pre` seeds `received` with segment-prefetched outcomes from a crashed
-/// run: those indices are never dispatched (the queue covers only the
-/// gaps), yet they admit at their exact position with the crashed run's
-/// worker counter deltas — so a resumed campaign re-evaluates nothing and
-/// still produces byte-identical output.
-fn run_batch_sharded(
-    shared: &Shared,
-    strategies: Vec<Strategy>,
-    pre: Vec<Option<SegmentEntry>>,
-    pool: &mut ShardPool,
-    on_outcome: OnOutcome<'_>,
-) -> Vec<StrategyOutcome> {
-    let n = strategies.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut received: Vec<Option<DeliveredOutcome>> = pre
-        .into_iter()
-        .map(|entry| entry.map(|e| (e.outcome, e.counters)))
-        .collect();
-    let mut got = received.iter().filter(|slot| slot.is_some()).count();
-    let chunk = n.div_ceil(pool.live().max(1) * 4).max(1);
-    // Queue only the gaps between prefetched outcomes, as contiguous
-    // ranges cut to chunk size (the `n` sentinel closes a trailing run).
-    let mut queue: std::collections::VecDeque<(usize, usize)> = Default::default();
-    let mut run_start: Option<usize> = None;
-    for i in 0..=n {
-        let needs_eval = received.get(i).is_some_and(Option::is_none);
-        match (run_start, needs_eval) {
-            (None, true) => run_start = Some(i),
-            (Some(start), false) => {
-                let mut cursor = start;
-                while cursor < i {
-                    let len = chunk.min(i - cursor);
-                    queue.push_back((cursor, len));
-                    cursor += len;
-                }
-                run_start = None;
-            }
-            _ => {}
-        }
-    }
-    let mut outstanding: Vec<std::collections::VecDeque<usize>> =
-        (0..pool.len()).map(|_| Default::default()).collect();
-    let mut done: Vec<StrategyOutcome> = Vec::with_capacity(n);
-    let mut next_admit = 0usize;
-
-    // Release any prefetched prefix before dispatching: its counters fold
-    // and its journal lines write exactly as an uninterrupted run's would.
-    while next_admit < n {
-        let Some((outcome, counters)) = received[next_admit].take() else {
-            break;
-        };
-        fold_worker_counters(shared, &counters);
-        on_outcome(&outcome, Some(&counters));
-        done.push(outcome);
-        next_admit += 1;
-    }
-
-    // Per-shard progress deadline: heartbeats prove a worker *process* is
-    // alive (they feed the read deadline), but only outcomes prove it is
-    // *working*. A shard that holds outstanding work for a whole
-    // `shard_timeout` without delivering anything — a frame lost on the
-    // wire, an evaluation thread wedged behind a live heartbeat thread —
-    // is killed and its work re-dispatched.
-    let progress_window = shared.config.shard_timeout;
-    let mut progress: Vec<Instant> = vec![Instant::now(); pool.len()];
-    while got < n {
-        if pool.live() == 0 {
-            break;
-        }
-        // Top-up: hand queued ranges to the least-loaded live shards.
-        loop {
-            let target = (0..pool.len())
-                .filter(|&s| pool.is_live(s) && outstanding[s].len() < 2 * chunk)
-                .min_by_key(|&s| outstanding[s].len());
-            let Some(shard) = target else { break };
-            let Some((start, len)) = queue.pop_front() else {
-                break;
-            };
-            if pool.send_range(shard, start, &strategies[start..start + len]) {
-                outstanding[shard].extend(start..start + len);
-                progress[shard] = Instant::now();
-            } else {
-                queue.push_front((start, len));
-            }
-        }
-        if pool.live() == 0 {
-            break;
-        }
-        match pool.next_event_timeout(progress_window) {
-            PoolWait::Idle => {
-                for shard in 0..pool.len() {
-                    if pool.is_live(shard)
-                        && !outstanding[shard].is_empty()
-                        && progress[shard].elapsed() >= progress_window
-                    {
-                        pool.kill(shard);
-                        pool.ranges_redispatched +=
-                            requeue_outstanding(&mut queue, &mut outstanding[shard]);
-                        pool.try_reconnect(shard, &shared.config);
-                    }
-                }
-            }
-            PoolWait::Closed => {
-                // Every reader thread is gone; nothing further can arrive.
-                for shard in 0..pool.len() {
-                    pool.kill(shard);
-                }
-                break;
-            }
-            PoolWait::Event(ShardEvent::Dead {
-                shard,
-                generation,
-                timed_out,
-            }) => {
-                // Gate on generation alone, NOT liveness: a failed
-                // `send_range` kills the link without draining its
-                // outstanding indices (the Dead event owns that), so a
-                // Dead for the *current* generation must still requeue
-                // even when the slot was already killed. Only a retired
-                // generation's reader winding down is stale.
-                if generation != pool.generation(shard) {
-                    continue;
-                }
-                if timed_out {
-                    pool.heartbeats_missed += 1;
-                }
-                pool.kill(shard);
-                pool.ranges_redispatched +=
-                    requeue_outstanding(&mut queue, &mut outstanding[shard]);
-                pool.try_reconnect(shard, &shared.config);
-            }
-            PoolWait::Event(ShardEvent::Outcome {
-                shard,
-                generation,
-                index,
-                busy_nanos,
-                counters,
-                outcome,
-            }) => {
-                if generation != pool.generation(shard) || !pool.is_live(shard) {
-                    // Late traffic from a connection already declared dead;
-                    // its indices were re-queued, so this result is stale.
-                    continue;
-                }
-                let in_contract = outstanding[shard].front() == Some(&index)
-                    && index < n
-                    && index >= next_admit
-                    && received[index].is_none()
-                    && outcome.strategy.id == strategies[index].id;
-                if !in_contract {
-                    pool.kill(shard);
-                    pool.ranges_redispatched +=
-                        requeue_outstanding(&mut queue, &mut outstanding[shard]);
-                    pool.try_reconnect(shard, &shared.config);
-                    continue;
-                }
-                outstanding[shard].pop_front();
-                progress[shard] = Instant::now();
-                pool.record_busy(shard, busy_nanos);
-                received[index] = Some((*outcome, counters));
-                got += 1;
-                // Admission drain: release the contiguous prefix. Counters
-                // fold here, not at receipt, so a stale result that never
-                // admits never skews the observer either.
-                while next_admit < n {
-                    let Some((outcome, counters)) = received[next_admit].take() else {
-                        break;
-                    };
-                    fold_worker_counters(shared, &counters);
-                    on_outcome(&outcome, Some(&counters));
-                    done.push(outcome);
-                    next_admit += 1;
-                }
-            }
-        }
-    }
-
-    // In-process completion of whatever the pool did not deliver — the
-    // whole batch when the pool died at launch, the tail when it died
-    // mid-run. Already-received outcomes are reused, not re-run.
-    for index in next_admit..n {
-        let (outcome, counters) = match received[index].take() {
-            Some((outcome, counters)) => (outcome, Some(counters)),
-            None => (evaluate_watched(shared, strategies[index].clone()), None),
-        };
-        if let Some(counters) = &counters {
-            fold_worker_counters(shared, counters);
-        }
-        on_outcome(&outcome, counters.as_deref());
-        done.push(outcome);
-    }
-    done
 }
 
 #[cfg(test)]
@@ -2588,6 +2457,52 @@ mod tests {
                 attack: BasicAttack::Drop { percent: 100 },
             },
         });
+    }
+
+    #[test]
+    fn work_queue_covers_exactly_the_non_prefetched_indices() {
+        // Indices 2, 3 and 7 were prefetched from segments.
+        let prefetched = [
+            false, false, true, true, false, false, false, true, false, false, false,
+        ];
+        let queue = WorkQueue::new(&prefetched, 2);
+        let ranges: Vec<_> = queue.lock().ranges.iter().copied().collect();
+        assert_eq!(ranges, [(0, 2), (4, 2), (6, 1), (8, 2), (10, 1)]);
+        assert_eq!(queue.remaining(), 8);
+        let claimed: Vec<usize> = std::iter::from_fn(|| queue.take_index()).collect();
+        assert_eq!(claimed, [0, 1, 4, 5, 6, 8, 9, 10]);
+        assert_eq!(WorkQueue::new(&[true, true], 4).remaining(), 0);
+    }
+
+    #[test]
+    fn a_requeue_puts_the_lowest_unfinished_index_first() {
+        let queue = WorkQueue::new(&[false; 10], 3);
+        // A link claims its first range, then a requeued-looking later
+        // one, delivers index 0 and dies holding the rest.
+        let mut outstanding = VecDeque::new();
+        for _ in 0..2 {
+            let (start, len) = queue.take_range(false).expect("queued work");
+            outstanding.extend(start..start + len);
+        }
+        assert_eq!(outstanding.pop_front(), Some(0));
+        queue.settle();
+        outstanding.rotate_left(2); // FIFO order need not be index order
+        assert_eq!(queue.requeue(&mut outstanding), 1, "1..6 is one range");
+        assert!(outstanding.is_empty());
+        let ranges: Vec<_> = queue.lock().ranges.iter().copied().collect();
+        assert_eq!(ranges, [(1, 5), (6, 3), (9, 1)]);
+        assert_eq!(queue.lock().in_flight, 0);
+        // Split ranges stay contiguous and in index order.
+        let (start, len) = queue.take_range(false).unwrap();
+        let mut held: VecDeque<usize> = (start..start + len).collect();
+        held.retain(|&i| i != 3);
+        queue.settle();
+        assert_eq!(queue.requeue(&mut held), 2);
+        let ranges: Vec<_> = queue.lock().ranges.iter().copied().collect();
+        assert_eq!(ranges, [(1, 2), (4, 2), (6, 3), (9, 1)]);
+        // Nothing in flight: a waiting link sees the drained queue.
+        while queue.take_index().is_some() {}
+        assert_eq!(queue.take_range(true), None);
     }
 
     #[test]

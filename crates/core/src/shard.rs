@@ -41,11 +41,14 @@
 //!   encoding.
 //!
 //! Determinism is owned entirely by the controller: workers never touch
-//! the journal or admission. Outcomes are admitted strictly in
-//! strategy-index order through the same reorder buffer the in-process
-//! thread pool uses, so TSV, manifest and memo markers are bit-identical
-//! at any shard count — including zero, the in-process fallback the
-//! controller degrades to when every shard dies.
+//! the journal or admission. The controller runs one batch loop for both
+//! kinds of executor: each live shard link gets a controller thread that
+//! dispatches contiguous index ranges from the batch's work queue and
+//! admits the outcomes through the same reorder buffer the local executor
+//! threads use. Outcomes are admitted strictly in strategy-index order, so
+//! TSV, manifest and memo markers are bit-identical at any shard count —
+//! including zero, and including a pool that dies entirely, whose leftover
+//! indices the same call finishes on local threads.
 //!
 //! # Supervision and crash tolerance
 //!
@@ -55,39 +58,41 @@
 //! * **Heartbeats + read deadlines** — after the handshake each worker
 //!   runs a heartbeat thread that writes a `heartbeat` frame every
 //!   `--heartbeat` interval, even while its main thread is deep inside an
-//!   evaluation. The controller keeps a per-connection read deadline
+//!   evaluation. Each link thread keeps its connection's read deadline
 //!   (`--shard-timeout`) armed on every read, so a hung or partitioned
 //!   worker — one that stops producing *any* frames — is declared dead
 //!   within one deadline, while an arbitrarily slow evaluation stays alive
-//!   as long as heartbeats flow. A deadline death re-dispatches the
-//!   shard's outstanding indices exactly like a closed connection.
+//!   as long as heartbeats flow. Heartbeats prove only that the process
+//!   lives: a link holding work that delivers no outcome for a whole
+//!   `--shard-timeout` trips its own progress deadline. Either death
+//!   re-dispatches the link's outstanding indices exactly like a closed
+//!   connection, without holding back any other link.
 //! * **Journal segments** — when the campaign has a journal, each worker
 //!   also appends every evaluated outcome to a private checksummed
 //!   segment file (see `segment.rs`). A *controller* crash therefore
 //!   resumes by merging segments instead of re-evaluating in-flight
 //!   ranges: the journal holds what was admitted, the segments hold what
 //!   was evaluated but still on the wire.
-//! * **Bounded reconnect** — a spawned worker that dies is replaced: the
-//!   controller re-spawns and re-handshakes the slot (fresh generation,
-//!   fresh segment file) with exponential backoff plus deterministic
-//!   jitter, a bounded number of times per slot. Events are
-//!   generation-tagged so a retired connection's stale traffic can never
-//!   reach admission.
+//! * **Bounded reconnect** — a spawned worker that dies is replaced by its
+//!   link thread: the slot is re-spawned and re-handshaked (next
+//!   generation, so a fresh segment file) with exponential backoff plus
+//!   deterministic jitter, a bounded number of times per slot. The link
+//!   thread owns its connection outright, so a retired connection's
+//!   traffic is never read at all.
 //!
 //! Wire-level chaos (dropped/truncated/corrupted/delayed outcome frames,
 //! worker hangs) is injected deterministically on the controller's read
 //! path under [`ChaosPlan`](crate::campaign::ChaosPlan) control, so the
 //! whole recovery matrix above is exercised by seeded tests.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::env;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use snake_dccp::DccpProfile;
@@ -101,15 +106,11 @@ use snake_proxy::Strategy;
 use snake_tcp::{AbortStyle, InvalidFlagPolicy, Profile};
 
 use crate::campaign::{
-    build_envelope, evaluate_watched, CampaignConfig, ChaosPlan, SharedCtx, StrategyOutcome,
+    evaluate_watched, Admit, CampaignConfig, ChaosPlan, SharedCtx, StrategyOutcome, WorkQueue,
 };
-use crate::detect::baseline_valid;
 use crate::journal::{checksummed_line, counters_json, scenario_digest, verify_line};
-use crate::scenario::{
-    ExecutorOptions, FlowGroup, FlowRole, PlannedExecutor, ProtocolKind, ScenarioSpec, TopologySpec,
-};
+use crate::scenario::{FlowGroup, FlowRole, ProtocolKind, ScenarioSpec, TopologySpec};
 use crate::segment::{segment_file, SegmentWriter};
-use crate::strategen::GenerationParams;
 
 /// Wire protocol version; bumped whenever a message shape changes. A
 /// worker refuses a `hello` carrying any other version. Version 3 added
@@ -610,15 +611,9 @@ pub(crate) fn decode_scenario(value: &Value) -> Result<ScenarioSpec, JsonError> 
 struct WorkerJob {
     shard: u64,
     digest: u64,
-    spec: ScenarioSpec,
-    threshold: f64,
-    baseline_reps: usize,
-    retest: bool,
-    snapshot_fork: bool,
-    memoize: bool,
-    deadline: Option<Duration>,
-    stall_retries: usize,
-    stall_backoff: Duration,
+    /// The evaluation-relevant part of the controller's configuration,
+    /// rebuilt through the validating builder.
+    config: CampaignConfig,
     /// How often the worker's heartbeat thread proves liveness.
     heartbeat: Duration,
     /// Journal-segment file to append evaluated outcomes to, when the
@@ -681,7 +676,7 @@ fn encode_hello(
     ])
 }
 
-fn decode_hello(message: &Value) -> Result<WorkerJob, JsonError> {
+fn decode_hello(message: &Value, observer: Arc<dyn Observer>) -> Result<WorkerJob, JsonError> {
     let version = message.req_u64("version")?;
     if version != WIRE_VERSION {
         return Err(JsonError::decode(format!(
@@ -707,18 +702,26 @@ fn decode_hello(message: &Value) -> Result<WorkerJob, JsonError> {
                 .ok_or_else(|| JsonError::decode("hang_after: expected integer"))?,
         ),
     };
+    let mut builder = CampaignConfig::builder(decode_scenario(message.req("scenario")?)?)
+        .threshold(message.req_f64("threshold")?)
+        .baseline_reps(decode_usize(message, "baseline_reps")?)
+        .retest(message.req_bool("retest")?)
+        .snapshot_fork(message.req_bool("snapshot_fork")?)
+        .memoize(message.req_bool("memoize")?)
+        .stall_retries(decode_usize(message, "stall_retries")?)
+        .stall_backoff(Duration::from_nanos(
+            message.req_u64("stall_backoff_nanos")?,
+        ))
+        .observer(observer);
+    if let Some(deadline) = deadline {
+        builder = builder.deadline(deadline);
+    }
     Ok(WorkerJob {
         shard: message.req_u64("shard")?,
         digest: message.req_u64("digest")?,
-        spec: decode_scenario(message.req("scenario")?)?,
-        threshold: message.req_f64("threshold")?,
-        baseline_reps: decode_usize(message, "baseline_reps")?,
-        retest: message.req_bool("retest")?,
-        snapshot_fork: message.req_bool("snapshot_fork")?,
-        memoize: message.req_bool("memoize")?,
-        deadline,
-        stall_retries: decode_usize(message, "stall_retries")?,
-        stall_backoff: Duration::from_nanos(message.req_u64("stall_backoff_nanos")?),
+        config: builder
+            .build()
+            .map_err(|err| JsonError::decode(format!("hello: {err}")))?,
         heartbeat: Duration::from_nanos(message.req_u64("heartbeat_nanos")?),
         segment,
         hang_after,
@@ -832,8 +835,15 @@ pub fn run_shard_worker(addr: &str) -> io::Result<()> {
     if hello.req_str("type").map_err(decode_err)? != "hello" {
         return Err(protocol_err("expected hello as the first message"));
     }
-    let job = decode_hello(&hello).map_err(decode_err)?;
-    let digest = scenario_digest(&job.spec, job.threshold, job.baseline_reps);
+    // Evaluation tallies accumulate per outcome so they can be shipped to
+    // the controller with it.
+    let accumulator = Arc::new(CounterAccumulator::default());
+    let job = decode_hello(&hello, accumulator.clone()).map_err(decode_err)?;
+    let digest = scenario_digest(
+        &job.config.scenario,
+        job.config.threshold,
+        job.config.baseline_reps,
+    );
     if digest != job.digest {
         // Echo what we computed anyway: the controller reports the
         // mismatch and degrades to in-process execution.
@@ -848,80 +858,9 @@ pub fn run_shard_worker(addr: &str) -> io::Result<()> {
         )));
     }
     let exit_after = exit_after_hook(job.shard);
-
-    // Stand up the executors exactly as `Campaign::run` does, with a
-    // counter-accumulating observer so evaluation tallies can be shipped
-    // to the controller per outcome.
-    let accumulator = Arc::new(CounterAccumulator::default());
-    let observer: Arc<dyn Observer> = accumulator.clone();
-    let exec_options = ExecutorOptions {
-        snapshot_fork: job.snapshot_fork,
-        memoize: job.memoize,
-        halt_arming: true,
-        observer: observer.clone(),
-    };
-    let exec = PlannedExecutor::new(&job.spec, exec_options.clone());
-    let baseline = exec.baseline().clone();
-    if !baseline_valid(&baseline) {
-        return Err(protocol_err("worker baseline is invalid"));
-    }
-    let retest_spec = ScenarioSpec {
-        seed: job.spec.seed.wrapping_add(1),
-        ..job.spec.clone()
-    };
-    let retest_exec = if job.retest {
-        Some(PlannedExecutor::new(&retest_spec, exec_options))
-    } else {
-        None
-    };
-    let envelope = build_envelope(&job.spec, &baseline, job.baseline_reps, job.threshold);
-    let retest_envelope = retest_exec.as_ref().map(|retest| {
-        build_envelope(
-            &retest_spec,
-            retest.baseline(),
-            job.baseline_reps,
-            job.threshold,
-        )
-    });
-
-    let config = CampaignConfig {
-        scenario: job.spec,
-        params: GenerationParams::default(),
-        threshold: job.threshold,
-        parallelism: 1,
-        max_strategies: None,
-        feedback_rounds: 1,
-        retest: job.retest,
-        journal: None,
-        resume: false,
-        progress_every: 0,
-        snapshot_fork: job.snapshot_fork,
-        memoize: job.memoize,
-        fault_hook: None,
-        chaos: None,
-        baseline_reps: job.baseline_reps,
-        deadline: job.deadline,
-        stall_retries: job.stall_retries,
-        stall_backoff: job.stall_backoff,
-        observer,
-        shards: 0,
-        shard_listen: None,
-        shard_worker_bin: None,
-        shard_timeout: DEFAULT_SHARD_TIMEOUT,
-        heartbeat: job.heartbeat,
-        insecure_bind: false,
-    };
-    let shared = Arc::new(SharedCtx {
-        exec,
-        retest_exec,
-        config,
-        memoize: job.memoize,
-        envelope,
-        retest_envelope,
-        escalated: AtomicUsize::new(0),
-        stalls: AtomicUsize::new(0),
-        quarantined: AtomicUsize::new(0),
-    });
+    let shared = Arc::new(
+        SharedCtx::new(job.config).map_err(|err| protocol_err(format!("worker set-up: {err}")))?,
+    );
     // Setup cost (baseline, plan, envelopes) accrued counters of its own;
     // the controller already counted its setup once, so discard ours
     // rather than double-reporting.
@@ -931,7 +870,7 @@ pub fn run_shard_worker(addr: &str) -> io::Result<()> {
     // cannot write segments still evaluates correctly; only
     // controller-crash recovery loses precision, never correctness).
     let mut segment = job.segment.as_ref().and_then(|path| {
-        match SegmentWriter::create(path, job.shard, digest, job.memoize) {
+        match SegmentWriter::create(path, job.shard, digest, shared.memoize) {
             Ok(writer) => Some(writer),
             Err(err) => {
                 eprintln!(
@@ -1087,63 +1026,22 @@ pub fn run_shard_worker(addr: &str) -> io::Result<()> {
 // Controller
 // ---------------------------------------------------------------------------
 
-/// One message from a shard's reader thread to the dispatcher. Every
-/// event carries the connection *generation* it came from: a reconnected
-/// slot bumps its generation, so traffic from a retired connection —
-/// including its terminal `Dead` — is recognisably stale and discarded.
-pub(crate) enum ShardEvent {
-    /// A worker finished one strategy.
-    Outcome {
-        /// Which shard produced it.
-        shard: usize,
-        /// The connection generation that produced it.
-        generation: u64,
-        /// Global strategy index within the batch.
-        index: usize,
-        /// Worker wall-clock spent evaluating, for busy/idle accounting.
-        busy_nanos: u64,
-        /// Counter deltas the worker's observer accumulated.
-        counters: Vec<(String, u64)>,
-        /// The evaluated outcome, in journal encoding.
-        outcome: Box<StrategyOutcome>,
-    },
-    /// The shard's connection is unusable: closed, undecodable, or silent
-    /// past the read deadline.
-    Dead {
-        /// Which shard died.
-        shard: usize,
-        /// The connection generation that died.
-        generation: u64,
-        /// Whether death was a read-deadline expiry (a hung or
-        /// partitioned worker) rather than a closed/corrupt connection.
-        timed_out: bool,
-    },
+/// One decoded `outcome` frame.
+struct OutcomeFrame {
+    /// Global strategy index within the batch.
+    index: usize,
+    /// Worker wall-clock spent evaluating, for busy/idle accounting.
+    busy_nanos: u64,
+    /// Counter deltas the worker's observer accumulated.
+    counters: Vec<(String, u64)>,
+    /// The evaluated outcome, in journal encoding.
+    outcome: StrategyOutcome,
 }
 
-/// What a bounded wait on the pool's event stream produced.
-pub(crate) enum PoolWait {
-    /// An event arrived within the deadline.
-    Event(ShardEvent),
-    /// Nothing arrived: no shard made outcome progress for the whole
-    /// window (heartbeats never reach this channel). The dispatcher
-    /// checks its per-shard progress deadlines.
-    Idle,
-    /// Every sender is gone — all reader threads exited and the pool's
-    /// own clone was dropped; nothing further can arrive.
-    Closed,
-}
-
-fn decode_outcome_event(
-    shard: usize,
-    generation: u64,
-    message: &Value,
-) -> Result<ShardEvent, JsonError> {
+fn decode_outcome(message: &Value) -> Result<OutcomeFrame, JsonError> {
     if message.req_str("type")? != "outcome" {
         return Err(JsonError::decode("expected an outcome message"));
     }
-    let index = message.req_u64("index")?;
-    let index =
-        usize::try_from(index).map_err(|_| JsonError::decode("outcome index overflows usize"))?;
     let counters = match message.req("counters")? {
         Value::Obj(pairs) => pairs
             .iter()
@@ -1156,20 +1054,18 @@ fn decode_outcome_event(
             .collect::<Result<Vec<_>, _>>()?,
         _ => return Err(JsonError::decode("outcome.counters: expected object")),
     };
-    Ok(ShardEvent::Outcome {
-        shard,
-        generation,
-        index,
+    Ok(OutcomeFrame {
+        index: decode_usize(message, "index")?,
         busy_nanos: message.req_u64("busy_nanos")?,
         counters,
-        outcome: Box::new(StrategyOutcome::from_json(message.req("outcome")?)?),
+        outcome: StrategyOutcome::from_json(message.req("outcome")?)?,
     })
 }
 
 /// The deterministic wire-fault lane of a [`ChaosPlan`], applied on the
-/// controller's read path by outcome-frame ordinal (heartbeats are not
-/// counted — their timing is wall-clock-dependent, and chaos must stay
-/// reproducible under seed control).
+/// controller's read path by outcome-frame ordinal per connection
+/// (heartbeats are not counted — their timing is wall-clock-dependent,
+/// and chaos must stay reproducible under seed control).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct WireFaults {
     drop_every: Option<u64>,
@@ -1217,143 +1113,6 @@ fn reap(child: &mut Child) {
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-}
-
-/// One connected (or once-connected) worker process, controller side.
-struct ShardLink {
-    /// A clone of the connection, kept for `shutdown(2)` even after the
-    /// writer is dropped.
-    socket: TcpStream,
-    /// Send half; `None` once the shard is declared dead.
-    writer: Option<BufWriter<TcpStream>>,
-    /// The spawned worker process (absent for `--connect` workers).
-    child: Option<Child>,
-    /// The reader thread draining this shard's outcome stream.
-    reader: Option<JoinHandle<()>>,
-    /// Whether the handshake (ready + digest match) succeeded.
-    handshaked: bool,
-    /// Total worker-reported evaluation time.
-    busy_nanos: u64,
-    /// Outcomes received from this shard.
-    outcomes: u64,
-    /// Connection generation for this slot; bumped per reconnect so
-    /// retired connections' events are recognisably stale.
-    generation: u64,
-    /// Replacement attempts consumed by this slot (bounded by
-    /// [`RECONNECT_ATTEMPTS`]).
-    reconnect_attempts: u64,
-}
-
-/// The controller's set of worker processes for one campaign, plus the
-/// merged event stream their reader threads feed.
-pub(crate) struct ShardPool {
-    links: Vec<ShardLink>,
-    /// Links replaced by reconnects (or that failed a reconnect
-    /// handshake), kept so their reader threads are joined and their
-    /// children reaped at teardown, and their busy tallies reported.
-    retired: Vec<ShardLink>,
-    events: mpsc::Receiver<ShardEvent>,
-    /// Sender handed to reader threads; kept so reconnected readers can
-    /// be spawned after launch.
-    tx: mpsc::Sender<ShardEvent>,
-    started: Instant,
-    /// Shards that completed the handshake (the `shard.workers` counter).
-    workers: usize,
-    /// The campaign's scenario digest (reconnect handshakes re-use it).
-    digest: u64,
-    /// The effective memoize flag the workers were handshaked with.
-    memoize: bool,
-    /// Wire-fault lane applied on every reader.
-    wire: WireFaults,
-    /// Segment directory, when the campaign journals.
-    segments: Option<PathBuf>,
-    /// Respawn context for spawned-children mode: the retained listener
-    /// and the worker binary. `None` under `--shard-listen`, where
-    /// workers are started externally and cannot be respawned.
-    respawn: Option<(TcpListener, PathBuf)>,
-    /// Ranges handed to workers, including re-dispatches.
-    pub(crate) ranges_dispatched: u64,
-    /// Ranges re-dispatched after a shard death or protocol violation.
-    pub(crate) ranges_redispatched: u64,
-    /// Shards declared dead by read-deadline expiry (hung/partitioned).
-    pub(crate) heartbeats_missed: u64,
-    /// Successful slot replacements.
-    pub(crate) reconnects: u64,
-}
-
-impl std::fmt::Debug for ShardPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardPool")
-            .field("links", &self.links.len())
-            .field("workers", &self.workers)
-            .field("ranges_dispatched", &self.ranges_dispatched)
-            .field("ranges_redispatched", &self.ranges_redispatched)
-            .finish()
-    }
-}
-
-fn spawn_reader(
-    shard: usize,
-    generation: u64,
-    mut reader: BufReader<TcpStream>,
-    tx: mpsc::Sender<ShardEvent>,
-    wire: WireFaults,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("snake-shard-rx-{shard}-g{generation}"))
-        .spawn(move || {
-            let dead = |timed_out| ShardEvent::Dead {
-                shard,
-                generation,
-                timed_out,
-            };
-            let mut outcomes: u64 = 0;
-            loop {
-                let event = match read_message(&mut reader) {
-                    Ok(Some(message)) => {
-                        if message.get("type").and_then(Value::as_str) == Some("heartbeat") {
-                            // Liveness proven simply by arriving before
-                            // the read deadline; nothing to dispatch.
-                            continue;
-                        }
-                        match decode_outcome_event(shard, generation, &message) {
-                            Ok(event) => {
-                                outcomes += 1;
-                                // Wire chaos, by outcome ordinal: a
-                                // truncated or corrupted frame would have
-                                // failed its checksum, which on the wire
-                                // is a protocol death; a dropped frame
-                                // simply never happened; a delayed frame
-                                // arrives late but intact.
-                                if fault_hits(wire.truncate_every, outcomes)
-                                    || fault_hits(wire.corrupt_every, outcomes)
-                                {
-                                    dead(false)
-                                } else if fault_hits(wire.drop_every, outcomes) {
-                                    continue;
-                                } else {
-                                    if fault_hits(wire.delay_every, outcomes) {
-                                        std::thread::sleep(wire.delay);
-                                    }
-                                    event
-                                }
-                            }
-                            Err(_) => dead(false),
-                        }
-                    }
-                    Ok(None) => dead(false),
-                    Err(err) => dead(matches!(
-                        err.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    )),
-                };
-                let is_dead = matches!(event, ShardEvent::Dead { .. });
-                if tx.send(event).is_err() || is_dead {
-                    break;
-                }
-            }
-        })
-        .expect("spawning a shard reader thread cannot fail")
 }
 
 /// Accepts up to `want` connections from spawned children, polling so a
@@ -1418,12 +1177,346 @@ fn reconnect_jitter(digest: u64, shard: usize, attempt: u64) -> Duration {
     Duration::from_millis((z ^ (z >> 31)) % 100)
 }
 
+/// Runs the hello/ready handshake on one accepted stream and returns the
+/// send half plus the read half. The read deadline stays armed after the
+/// handshake: a worker that goes silent for longer than `timeout`
+/// mid-evaluation (no outcome, no heartbeat) fails its link thread's next
+/// read instead of hanging the controller forever.
+fn handshake(
+    stream: &TcpStream,
+    hello: &Value,
+    digest: u64,
+    timeout: Duration,
+) -> io::Result<(BufWriter<TcpStream>, BufReader<TcpStream>)> {
+    stream.set_nodelay(true).ok();
+    let mut writer = BufWriter::new(stream.try_clone()?);
+    write_line(&mut writer, hello)?;
+    stream.set_read_timeout(Some(timeout))?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let ready = read_message(&mut reader)?
+        .ok_or_else(|| protocol_err("worker closed the connection before ready"))?;
+    if ready.req_str("type").map_err(decode_err)? != "ready" {
+        return Err(protocol_err("expected a ready message"));
+    }
+    let echoed = ready.req_u64("digest").map_err(decode_err)?;
+    if echoed != digest {
+        return Err(protocol_err(format!(
+            "scenario digest mismatch: sent {digest:016x}, worker decoded {echoed:016x}"
+        )));
+    }
+    Ok((writer, reader))
+}
+
+/// What every link thread shares: the handshake inputs, the respawn
+/// context and the dispatch tallies.
+struct PoolCtx {
+    /// The campaign's scenario digest (reconnect handshakes re-use it).
+    digest: u64,
+    /// The effective memoize flag the workers are handshaked with.
+    memoize: bool,
+    /// Wire-fault lane applied on every link's read path.
+    wire: WireFaults,
+    /// Segment directory, when the campaign journals.
+    segments: Option<PathBuf>,
+    /// Respawn context for spawned-children mode: the retained listener
+    /// and the worker binary. Spawn plus accept runs under this lock, so
+    /// two reconnecting slots can never swap each other's children.
+    /// `None` under `--shard-listen`, where workers are started externally
+    /// and cannot be respawned.
+    respawn: Option<Mutex<(TcpListener, PathBuf)>>,
+    /// Ranges handed to workers, including re-dispatches.
+    ranges_dispatched: AtomicU64,
+    /// Ranges re-dispatched after a shard death or protocol violation.
+    ranges_redispatched: AtomicU64,
+    /// Shards declared dead by read-deadline expiry (hung/partitioned).
+    heartbeats_missed: AtomicU64,
+    /// Successful slot replacements.
+    reconnects: AtomicU64,
+}
+
+/// Why a link stopped serving: its connection is unusable (closed,
+/// undecodable, out of contract, past its progress deadline) or silent past
+/// the read deadline (`timed_out`: a hung or partitioned worker).
+struct LinkDeath {
+    timed_out: bool,
+}
+
+/// One shard slot, controller side: the connection to its current worker
+/// process plus the slot's reconnect history. During a batch the slot's
+/// link thread owns it outright, so nothing it reads can reach anyone else.
+struct ShardLink {
+    /// The slot index, sent to the worker in `hello`.
+    shard: usize,
+    /// Send half and deadline-armed read half; `None` once dead.
+    wire: Option<(BufWriter<TcpStream>, BufReader<TcpStream>)>,
+    /// The spawned worker process (absent for `--connect` workers).
+    child: Option<Child>,
+    /// Connection count of this slot, bumped per reconnect: the suffix
+    /// that keeps each connection's segment file separate.
+    generation: u64,
+    /// Replacement attempts consumed by this slot (bounded by
+    /// [`RECONNECT_ATTEMPTS`]).
+    reconnect_attempts: u64,
+    /// Outcome frames read on the current connection: the wire-chaos
+    /// ordinal.
+    frames: u64,
+    /// Worker-reported evaluation time of every handshaked connection
+    /// this slot has had — one `shard.busy_nanos` sample apiece.
+    busy: Vec<u64>,
+}
+
+impl ShardLink {
+    /// Handshakes `stream` into this slot as its current connection. A
+    /// failed handshake leaves the slot dead; its child is reaped at
+    /// teardown.
+    fn attach(
+        &mut self,
+        stream: TcpStream,
+        child: Option<Child>,
+        ctx: &PoolCtx,
+        config: &CampaignConfig,
+        hang_after: Option<u64>,
+    ) {
+        self.child = child;
+        self.frames = 0;
+        let segment = ctx
+            .segments
+            .as_deref()
+            .map(|dir| segment_file(dir, self.shard, self.generation));
+        let hello = encode_hello(
+            self.shard,
+            ctx.digest,
+            config,
+            ctx.memoize,
+            segment.as_deref(),
+            hang_after,
+        );
+        match handshake(&stream, &hello, ctx.digest, config.shard_timeout) {
+            Ok(wire) => {
+                self.wire = Some(wire);
+                self.busy.push(0);
+            }
+            Err(err) => {
+                eprintln!(
+                    "snake: shard {} failed its handshake and was dropped: {err}",
+                    self.shard
+                );
+                stream.shutdown(Shutdown::Both).ok();
+            }
+        }
+    }
+
+    /// Declares the link dead: drops the connection and kills the
+    /// spawned child outright — a worker declared dead for missing its
+    /// read deadline may be hung in an evaluation.
+    fn kill(&mut self) {
+        if let Some((writer, _)) = self.wire.take() {
+            writer.get_ref().shutdown(Shutdown::Both).ok();
+        }
+        if let Some(mut child) = self.child.take() {
+            child.kill().ok();
+            child.wait().ok();
+        }
+    }
+
+    /// The link thread: serves the batch on this slot's worker, and each
+    /// time the worker dies kills it, requeues its unfinished indices and
+    /// tries a replacement. Returns once the batch is drained or the slot
+    /// is dead for good.
+    fn drive(&mut self, ctx: &PoolCtx, config: &CampaignConfig, batch: &Batch<'_>) {
+        let mut outstanding = VecDeque::new();
+        while let Err(death) = self.serve(ctx, config, batch, &mut outstanding) {
+            if death.timed_out {
+                ctx.heartbeats_missed.fetch_add(1, Ordering::Relaxed);
+            }
+            self.kill();
+            let requeued = batch.queue.requeue(&mut outstanding);
+            ctx.ranges_redispatched
+                .fetch_add(requeued, Ordering::Relaxed);
+            if !self.reconnect(ctx, config) {
+                return;
+            }
+        }
+    }
+
+    /// Keeps at most 2·chunk indices outstanding on the worker and admits
+    /// what comes back, until the queue is drained and no link holds work.
+    ///
+    /// Every outcome must be the index at the front of this link's FIFO,
+    /// carrying that strategy's id; anything else is a protocol death.
+    /// Heartbeats keep the read deadline fed but prove only that the
+    /// process is alive; the per-link progress deadline fires when the
+    /// link holds work and has delivered no outcome for a whole
+    /// `shard_timeout` (a frame lost on the wire, an evaluation wedged
+    /// behind a live heartbeat thread).
+    fn serve(
+        &mut self,
+        ctx: &PoolCtx,
+        config: &CampaignConfig,
+        batch: &Batch<'_>,
+        outstanding: &mut VecDeque<usize>,
+    ) -> Result<(), LinkDeath> {
+        let dead = |timed_out| LinkDeath { timed_out };
+        let mut progress = Instant::now();
+        loop {
+            while outstanding.len() <= batch.chunk {
+                let Some((start, len)) = batch.queue.take_range(outstanding.is_empty()) else {
+                    break;
+                };
+                outstanding.extend(start..start + len);
+                self.send_range(start, &batch.strategies[start..start + len])
+                    .map_err(|_| dead(false))?;
+                ctx.ranges_dispatched.fetch_add(1, Ordering::Relaxed);
+                progress = Instant::now();
+            }
+            let Some(&expected) = outstanding.front() else {
+                return Ok(());
+            };
+            let (_, reader) = self.wire.as_mut().ok_or(dead(false))?;
+            let message = match read_message(reader) {
+                Ok(Some(message)) => message,
+                Ok(None) => return Err(dead(false)),
+                Err(err) => {
+                    return Err(dead(matches!(
+                        err.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    )))
+                }
+            };
+            if message.get("type").and_then(Value::as_str) == Some("heartbeat") {
+                if progress.elapsed() >= config.shard_timeout {
+                    return Err(dead(false));
+                }
+                continue;
+            }
+            let frame = decode_outcome(&message).map_err(|_| dead(false))?;
+            // Wire chaos, by outcome ordinal: a truncated or corrupted
+            // frame would have failed its checksum, which on the wire is a
+            // protocol death; a dropped frame simply never happened; a
+            // delayed frame arrives late but intact.
+            self.frames += 1;
+            let wire = ctx.wire;
+            if fault_hits(wire.truncate_every, self.frames)
+                || fault_hits(wire.corrupt_every, self.frames)
+            {
+                return Err(dead(false));
+            }
+            if fault_hits(wire.drop_every, self.frames) {
+                continue;
+            }
+            if fault_hits(wire.delay_every, self.frames) {
+                std::thread::sleep(wire.delay);
+            }
+            if frame.index != expected || frame.outcome.strategy.id != batch.strategies[expected].id
+            {
+                return Err(dead(false));
+            }
+            outstanding.pop_front();
+            progress = Instant::now();
+            if let Some(busy) = self.busy.last_mut() {
+                *busy += frame.busy_nanos;
+            }
+            (batch.admit)(frame.index, frame.outcome, Some(frame.counters));
+            batch.queue.settle();
+        }
+    }
+
+    /// Sends one contiguous range to the worker.
+    fn send_range(&mut self, start: usize, strategies: &[Strategy]) -> io::Result<()> {
+        let (writer, _) = self
+            .wire
+            .as_mut()
+            .ok_or_else(|| protocol_err("link is dead"))?;
+        let message = obj([
+            ("type", Value::Str("range".to_owned())),
+            ("start", Value::U64(start as u64)),
+            (
+                "strategies",
+                Value::Arr(strategies.iter().map(ToJson::to_json).collect()),
+            ),
+        ]);
+        write_line(writer, &message)
+    }
+
+    /// Attempts to replace this slot's dead worker with a freshly spawned
+    /// one. Only spawned-children mode can respawn (`--shard-listen`
+    /// workers are started externally); each slot gets at most
+    /// [`RECONNECT_ATTEMPTS`] replacements, with exponential backoff plus
+    /// deterministic jitter between tries. Returns `true` when the slot is
+    /// live again, writing a fresh segment file so the dead connection's
+    /// segment is never appended to.
+    fn reconnect(&mut self, ctx: &PoolCtx, config: &CampaignConfig) -> bool {
+        let Some(respawn) = &ctx.respawn else {
+            return false;
+        };
+        if self.reconnect_attempts >= RECONNECT_ATTEMPTS {
+            return false;
+        }
+        let attempt = self.reconnect_attempts;
+        self.reconnect_attempts += 1;
+        std::thread::sleep(
+            RECONNECT_BACKOFF * 2u32.saturating_pow(attempt as u32)
+                + reconnect_jitter(ctx.digest, self.shard, attempt),
+        );
+        let (stream, child) = {
+            let respawn = respawn.lock().unwrap_or_else(|e| e.into_inner());
+            let (listener, worker_bin) = &*respawn;
+            let Ok(addr) = listener.local_addr() else {
+                return false;
+            };
+            let mut child = match spawn_worker(worker_bin, &addr.to_string()) {
+                Ok(child) => child,
+                Err(err) => {
+                    eprintln!("snake: shard {} respawn failed: {err}", self.shard);
+                    return false;
+                }
+            };
+            let accepted = accept_children(
+                listener,
+                1,
+                std::slice::from_mut(&mut child),
+                config.shard_timeout,
+            );
+            let Some(stream) = accepted.into_iter().next() else {
+                child.kill().ok();
+                child.wait().ok();
+                return false;
+            };
+            (stream, child)
+        };
+        self.generation += 1;
+        self.attach(stream, Some(child), ctx, config, None);
+        let live = self.wire.is_some();
+        if live {
+            ctx.reconnects.fetch_add(1, Ordering::Relaxed);
+        }
+        live
+    }
+}
+
+/// One batch as a link thread sees it.
+struct Batch<'a> {
+    queue: &'a WorkQueue,
+    strategies: &'a [Strategy],
+    chunk: usize,
+    admit: Admit<'a>,
+}
+
+/// The controller's set of worker processes for one campaign.
+pub(crate) struct ShardPool {
+    links: Vec<ShardLink>,
+    ctx: PoolCtx,
+    started: Instant,
+    /// Shards that completed the launch handshake (the `shard.workers`
+    /// counter).
+    workers: usize,
+}
+
 impl ShardPool {
-    /// Spawns (or accepts) the configured worker processes, handshakes
-    /// each one, and starts their reader threads. Shards that fail to
-    /// connect, echo a wrong digest, or die during the handshake are
-    /// simply absent from the live set; the caller degrades to in-process
-    /// execution when `live()` comes back zero.
+    /// Spawns (or accepts) the configured worker processes and handshakes
+    /// each one. Shards that fail to connect, echo a wrong digest, or die
+    /// during the handshake are simply absent from the live set; the
+    /// batch runtime evaluates in-process when `live()` comes back zero.
     ///
     /// `segments` is the journal-segment directory workers should write
     /// their evaluated-outcome segments into (shared filesystem assumed
@@ -1434,13 +1527,6 @@ impl ShardPool {
         memoize: bool,
         segments: Option<PathBuf>,
     ) -> io::Result<ShardPool> {
-        let digest = scenario_digest(&config.scenario, config.threshold, config.baseline_reps);
-        let wire = WireFaults::from_chaos(config.chaos.as_ref());
-        let hang_after = config
-            .chaos
-            .as_ref()
-            .and_then(|plan| plan.hang_worker_after);
-        let (tx, rx) = mpsc::channel();
         let mut streams: Vec<(TcpStream, Option<Child>)> = Vec::new();
         let mut respawn = None;
 
@@ -1492,330 +1578,114 @@ impl ShardPool {
             }
             // Keep the listener and binary path so a dead shard can be
             // replaced by a fresh child mid-campaign.
-            respawn = Some((listener, worker_bin));
+            respawn = Some(Mutex::new((listener, worker_bin)));
         }
 
-        let mut pool = ShardPool {
-            links: Vec::new(),
-            retired: Vec::new(),
-            events: rx,
-            tx,
-            started: Instant::now(),
-            workers: 0,
-            digest,
+        let ctx = PoolCtx {
+            digest: scenario_digest(&config.scenario, config.threshold, config.baseline_reps),
             memoize,
-            wire,
+            wire: WireFaults::from_chaos(config.chaos.as_ref()),
             segments,
             respawn,
-            ranges_dispatched: 0,
-            ranges_redispatched: 0,
-            heartbeats_missed: 0,
-            reconnects: 0,
+            ranges_dispatched: AtomicU64::new(0),
+            ranges_redispatched: AtomicU64::new(0),
+            heartbeats_missed: AtomicU64::new(0),
+            reconnects: AtomicU64::new(0),
         };
+        let hang_after = config.chaos.and_then(|plan| plan.hang_worker_after);
+        let mut links = Vec::new();
         for (shard, (stream, child)) in streams.into_iter().enumerate() {
-            stream.set_nodelay(true).ok();
+            let mut link = ShardLink {
+                shard,
+                wire: None,
+                child: None,
+                generation: 0,
+                reconnect_attempts: 0,
+                frames: 0,
+                busy: Vec::new(),
+            };
             // The hang knob targets shard 0's initial connection only, so
             // a hang-chaos campaign still has live shards to finish on.
             let hang = if shard == 0 { hang_after } else { None };
-            let segment = pool.segment_path(shard, 0);
-            let link = Self::handshake(
-                shard,
-                0,
-                stream,
-                child,
-                digest,
-                config,
-                memoize,
-                segment.as_deref(),
-                hang,
-                &pool.tx,
-                wire,
-            );
-            pool.workers += usize::from(link.handshaked);
-            pool.links.push(link);
+            link.attach(stream, child, &ctx, config, hang);
+            links.push(link);
         }
-        Ok(pool)
-    }
-
-    /// The segment file a given `(shard, generation)` connection should
-    /// write, when the campaign journals.
-    fn segment_path(&self, shard: usize, generation: u64) -> Option<PathBuf> {
-        self.segments
-            .as_deref()
-            .map(|dir| segment_file(dir, shard, generation))
-    }
-
-    /// Runs the hello/ready handshake on one accepted stream. Any failure
-    /// produces a dead link (kept only so its child is reaped later).
-    ///
-    /// The read deadline stays armed after the handshake: a worker that
-    /// goes silent for longer than `config.shard_timeout` mid-evaluation
-    /// (no outcome, no heartbeat) is declared dead by its reader thread
-    /// rather than hanging the controller forever.
-    #[allow(clippy::too_many_arguments)]
-    fn handshake(
-        shard: usize,
-        generation: u64,
-        stream: TcpStream,
-        child: Option<Child>,
-        digest: u64,
-        config: &CampaignConfig,
-        memoize: bool,
-        segment: Option<&Path>,
-        hang_after: Option<u64>,
-        tx: &mpsc::Sender<ShardEvent>,
-        wire: WireFaults,
-    ) -> ShardLink {
-        let mut link = ShardLink {
-            socket: stream.try_clone().unwrap_or(stream),
-            writer: None,
-            child,
-            reader: None,
-            handshaked: false,
-            busy_nanos: 0,
-            outcomes: 0,
-            generation,
-            reconnect_attempts: 0,
-        };
-        let attempt = (|| -> io::Result<(BufWriter<TcpStream>, BufReader<TcpStream>)> {
-            let mut writer = BufWriter::new(link.socket.try_clone()?);
-            write_line(
-                &mut writer,
-                &encode_hello(shard, digest, config, memoize, segment, hang_after),
-            )?;
-            let read_half = link.socket.try_clone()?;
-            read_half.set_read_timeout(Some(config.shard_timeout))?;
-            let mut reader = BufReader::new(read_half);
-            let ready = read_message(&mut reader)?
-                .ok_or_else(|| protocol_err("worker closed the connection before ready"))?;
-            if ready.req_str("type").map_err(decode_err)? != "ready" {
-                return Err(protocol_err("expected a ready message"));
-            }
-            let echoed = ready.req_u64("digest").map_err(decode_err)?;
-            if echoed != digest {
-                return Err(protocol_err(format!(
-                    "scenario digest mismatch: sent {digest:016x}, worker decoded {echoed:016x}"
-                )));
-            }
-            Ok((writer, reader))
-        })();
-        match attempt {
-            Ok((writer, reader)) => {
-                link.writer = Some(writer);
-                link.reader = Some(spawn_reader(shard, generation, reader, tx.clone(), wire));
-                link.handshaked = true;
-            }
-            Err(err) => {
-                eprintln!("snake: shard {shard} failed its handshake and was dropped: {err}");
-                link.socket.shutdown(Shutdown::Both).ok();
-            }
-        }
-        link
-    }
-
-    /// Attempts to replace a dead shard slot with a freshly spawned
-    /// worker. Only spawned-children mode can respawn (`--shard-listen`
-    /// workers are started externally); each slot gets at most
-    /// [`RECONNECT_ATTEMPTS`] replacements, with exponential backoff plus
-    /// deterministic jitter between tries. Returns `true` when the slot
-    /// is live again (at a bumped generation, writing a fresh segment
-    /// file so the dead connection's segment is never appended to).
-    pub(crate) fn try_reconnect(&mut self, shard: usize, config: &CampaignConfig) -> bool {
-        let Some(link) = self.links.get_mut(shard) else {
-            return false;
-        };
-        if link.writer.is_some() || link.reconnect_attempts >= RECONNECT_ATTEMPTS {
-            return false;
-        }
-        let Some((listener, worker_bin)) = self.respawn.as_ref() else {
-            return false;
-        };
-        let attempt = link.reconnect_attempts;
-        link.reconnect_attempts += 1;
-        let backoff = RECONNECT_BACKOFF * 2u32.saturating_pow(attempt as u32)
-            + reconnect_jitter(self.digest, shard, attempt);
-        std::thread::sleep(backoff);
-
-        let addr = match listener.local_addr() {
-            Ok(addr) => addr.to_string(),
-            Err(_) => return false,
-        };
-        let mut child = match spawn_worker(worker_bin, &addr) {
-            Ok(child) => child,
-            Err(err) => {
-                eprintln!("snake: shard {shard} respawn failed: {err}");
-                return false;
-            }
-        };
-        let accepted = accept_children(
-            listener,
-            1,
-            std::slice::from_mut(&mut child),
-            config.shard_timeout,
-        );
-        let Some(stream) = accepted.into_iter().next() else {
-            child.kill().ok();
-            child.wait().ok();
-            return false;
-        };
-        stream.set_nodelay(true).ok();
-
-        let generation = self.links[shard].generation + 1;
-        let segment = self.segment_path(shard, generation);
-        let mut fresh = Self::handshake(
-            shard,
-            generation,
-            stream,
-            Some(child),
-            self.digest,
-            config,
-            self.memoize,
-            segment.as_deref(),
-            None,
-            &self.tx,
-            self.wire,
-        );
-        fresh.reconnect_attempts = self.links[shard].reconnect_attempts;
-        let live = fresh.handshaked;
-        // Retire the old link whichever way the handshake went: its
-        // reader thread and child still need joining/reaping at teardown,
-        // and its busy tally still counts toward the shard histograms.
-        let old = std::mem::replace(&mut self.links[shard], fresh);
-        self.retired.push(old);
-        if live {
-            self.reconnects += 1;
-        }
-        live
-    }
-
-    /// The current connection generation for a shard slot; events tagged
-    /// with an older generation are stale traffic from a retired link.
-    pub(crate) fn generation(&self, shard: usize) -> u64 {
-        self.links.get(shard).map_or(0, |link| link.generation)
+        let workers = links.iter().filter(|link| link.wire.is_some()).count();
+        Ok(ShardPool {
+            links,
+            ctx,
+            started: Instant::now(),
+            workers,
+        })
     }
 
     /// Shards currently accepting work.
     pub(crate) fn live(&self) -> usize {
-        self.links
-            .iter()
-            .filter(|link| link.writer.is_some())
-            .count()
+        self.links.iter().filter(|link| link.wire.is_some()).count()
     }
 
-    /// Whether one specific shard is still accepting work.
-    pub(crate) fn is_live(&self, shard: usize) -> bool {
-        self.links
-            .get(shard)
-            .is_some_and(|link| link.writer.is_some())
-    }
-
-    /// Total link slots (dead ones included); shard indices range over this.
-    pub(crate) fn len(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Sends one contiguous range to a shard. Returns `false` — after
-    /// killing the link — when the write fails, so the caller re-queues.
-    pub(crate) fn send_range(
+    /// Serves one batch: a scoped link thread per live shard drains
+    /// `queue` in ranges of at most `chunk` indices and hands every
+    /// in-contract outcome to `admit`. Returns when every link thread has
+    /// exited — the queue drained, or every link dead for good with its
+    /// unfinished indices back in the queue.
+    pub(crate) fn drive(
         &mut self,
-        shard: usize,
-        start: usize,
+        config: &CampaignConfig,
+        queue: &WorkQueue,
         strategies: &[Strategy],
-    ) -> bool {
-        let Some(writer) = self
-            .links
-            .get_mut(shard)
-            .and_then(|link| link.writer.as_mut())
-        else {
-            return false;
+        chunk: usize,
+        admit: Admit<'_>,
+    ) {
+        let batch = Batch {
+            queue,
+            strategies,
+            chunk,
+            admit,
         };
-        let message = obj([
-            ("type", Value::Str("range".to_owned())),
-            ("start", Value::U64(start as u64)),
-            (
-                "strategies",
-                Value::Arr(strategies.iter().map(ToJson::to_json).collect()),
-            ),
-        ]);
-        if write_line(writer, &message).is_err() {
-            self.kill(shard);
-            return false;
-        }
-        self.ranges_dispatched += 1;
-        true
-    }
-
-    /// Declares a shard dead: drops its writer, shuts the socket down
-    /// (which also unblocks its reader thread into an EOF), and kills the
-    /// spawned child outright — a worker declared dead for missing its
-    /// read deadline may be hung in an evaluation and would otherwise
-    /// stall teardown until the reap timeout.
-    pub(crate) fn kill(&mut self, shard: usize) {
-        if let Some(link) = self.links.get_mut(shard) {
-            link.writer = None;
-            link.socket.shutdown(Shutdown::Both).ok();
-            if let Some(child) = link.child.as_mut() {
-                child.kill().ok();
+        let (ctx, batch) = (&self.ctx, &batch);
+        std::thread::scope(|scope| {
+            for link in self.links.iter_mut().filter(|link| link.wire.is_some()) {
+                scope.spawn(move || link.drive(ctx, config, batch));
             }
-        }
+        });
     }
 
-    /// Credits one received outcome to a shard's busy-time tally.
-    pub(crate) fn record_busy(&mut self, shard: usize, busy_nanos: u64) {
-        if let Some(link) = self.links.get_mut(shard) {
-            link.busy_nanos += busy_nanos;
-            link.outcomes += 1;
-        }
-    }
-
-    /// Waits up to `timeout` for the next event from any shard. Every
-    /// dead reader sends a `Dead` event before exiting and the armed read
-    /// deadlines bound how long a broken wire stays quiet, but neither
-    /// covers a worker whose heartbeats keep flowing while an outcome
-    /// never arrives (a frame lost to wire chaos, an evaluation thread
-    /// wedged behind a live heartbeat thread) — heartbeats are swallowed
-    /// by the readers, so [`PoolWait::Idle`] means no *outcome* progress
-    /// anywhere, and the caller applies its progress deadline.
-    pub(crate) fn next_event_timeout(&self, timeout: Duration) -> PoolWait {
-        match self.events.recv_timeout(timeout) {
-            Ok(event) => PoolWait::Event(event),
-            Err(mpsc::RecvTimeoutError::Timeout) => PoolWait::Idle,
-            Err(mpsc::RecvTimeoutError::Disconnected) => PoolWait::Closed,
-        }
-    }
-
-    /// Shuts every worker down, joins the reader threads, reaps spawned
-    /// children, and reports per-shard tallies to `observer`: the
-    /// `shard.workers` / `shard.ranges_dispatched` /
-    /// `shard.ranges_redispatched` counters and one `shard.busy_nanos` /
-    /// `shard.idle_nanos` histogram sample per handshaked shard.
+    /// Shuts every worker down, reaps spawned children, and reports
+    /// per-shard tallies to `observer`: the `shard.workers` /
+    /// `shard.ranges_dispatched` / `shard.ranges_redispatched` /
+    /// `shard.heartbeat.missed` / `shard.reconnects` counters and one
+    /// `shard.busy_nanos` / `shard.idle_nanos` histogram sample per
+    /// handshaked connection.
     pub(crate) fn finish(&mut self, observer: &dyn Observer) {
         let lifetime = self.started.elapsed().as_nanos() as u64;
         self.teardown();
+        let count = |tally: &AtomicU64| tally.load(Ordering::Relaxed);
         observer.counter_add("shard.workers", self.workers as u64);
-        observer.counter_add("shard.ranges_dispatched", self.ranges_dispatched);
-        observer.counter_add("shard.ranges_redispatched", self.ranges_redispatched);
-        observer.counter_add("shard.heartbeat.missed", self.heartbeats_missed);
-        observer.counter_add("shard.reconnects", self.reconnects);
-        for link in self.links.iter().chain(self.retired.iter()) {
-            if link.handshaked {
-                observer.record("shard.busy_nanos", link.busy_nanos);
-                observer.record("shard.idle_nanos", lifetime.saturating_sub(link.busy_nanos));
-            }
+        observer.counter_add(
+            "shard.ranges_dispatched",
+            count(&self.ctx.ranges_dispatched),
+        );
+        observer.counter_add(
+            "shard.ranges_redispatched",
+            count(&self.ctx.ranges_redispatched),
+        );
+        observer.counter_add("shard.heartbeat.missed", count(&self.ctx.heartbeats_missed));
+        observer.counter_add("shard.reconnects", count(&self.ctx.reconnects));
+        for &busy in self.links.iter().flat_map(|link| &link.busy) {
+            observer.record("shard.busy_nanos", busy);
+            observer.record("shard.idle_nanos", lifetime.saturating_sub(busy));
         }
     }
 
     fn teardown(&mut self) {
-        for link in self.links.iter_mut().chain(self.retired.iter_mut()) {
-            if let Some(mut writer) = link.writer.take() {
+        for link in &mut self.links {
+            if let Some((mut writer, _)) = link.wire.take() {
                 write_line(&mut writer, &shutdown_message()).ok();
+                writer.get_ref().shutdown(Shutdown::Both).ok();
             }
-            link.socket.shutdown(Shutdown::Both).ok();
         }
-        for link in self.links.iter_mut().chain(self.retired.iter_mut()) {
-            if let Some(handle) = link.reader.take() {
-                handle.join().ok();
-            }
+        for link in &mut self.links {
             if let Some(mut child) = link.child.take() {
                 reap(&mut child);
             }

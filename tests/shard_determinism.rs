@@ -233,3 +233,34 @@ fn a_shard_dead_before_its_first_outcome_changes_nothing() {
 
     assert_identical("dead-at-start", &reference, &sharded, 2);
 }
+
+#[test]
+fn a_pool_that_dies_entirely_finishes_on_local_threads() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let spec = ScenarioSpec::quick(ProtocolKind::Tcp(Profile::linux_3_13()));
+    let reference = run(spec.clone(), 0, 20);
+
+    // The only shard exits mid-range, and so does every replacement (the
+    // kill-switch matches the slot index, which a respawn keeps). After
+    // its two reconnects the pool is dead and the remainder of the batch
+    // must run in this process, on the local executor threads.
+    std::env::set_var("SNAKE_SHARD_EXIT_AFTER", "0:2");
+    let sharded = run(spec, 1, 20);
+    std::env::remove_var("SNAKE_SHARD_EXIT_AFTER");
+
+    assert_identical("whole-pool-death", &reference, &sharded, 1);
+    assert_eq!(
+        sharded.1.counter("shard.reconnects"),
+        2,
+        "the slot must be replaced up to its reconnect budget"
+    );
+    let claimed = sharded
+        .1
+        .histograms
+        .get("worker.claimed")
+        .map_or(0, |h| h.sum);
+    assert!(
+        claimed > 0,
+        "the tail left by the dead pool must be evaluated by local threads"
+    );
+}
