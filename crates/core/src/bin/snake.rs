@@ -693,7 +693,8 @@ fn cmd_campaign(command: &CommandSpec, flags: &ParsedFlags<'_>) -> Result<(), St
     }
     if result.resumed > 0 {
         eprintln!(
-            "resumed {} outcomes from the journal ({} malformed lines skipped)",
+            "resumed {} outcomes from the journal, worker segments folded in \
+             ({} malformed journal lines skipped)",
             result.resumed, result.journal_lines_skipped
         );
     }

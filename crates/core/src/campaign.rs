@@ -11,9 +11,8 @@ use snake_proxy::{InjectionAttack, Strategy, StrategyKind};
 
 use crate::attacks::{classify, cluster_attacks, AttackFinding};
 use crate::detect::{baseline_valid, detect_enveloped, Envelope, Verdict, DEFAULT_THRESHOLD};
-use crate::journal::{self, scenario_digest, JournalHeader, JournalWriter};
+use crate::journal::{self, scenario_digest, CampaignHeader, JournalHeader};
 use crate::scenario::{Executor, ExecutorOptions, PlannedExecutor, ScenarioSpec, TestMetrics};
-use crate::segment::{self, SegmentEntry};
 use crate::shard::{intern_counter, ShardPool, DEFAULT_HEARTBEAT, DEFAULT_SHARD_TIMEOUT};
 use crate::strategen::{generate_strategies, is_on_path, is_self_denial, GenerationParams};
 
@@ -759,7 +758,8 @@ pub enum CampaignError {
         source: io::Error,
     },
     /// The journal belongs to a different campaign (implementation, seed,
-    /// or threshold differ), so resuming from it would mix results.
+    /// threshold, memoization, impairment or scenario digest differ), so
+    /// resuming from it would mix results.
     JournalMismatch {
         /// The journal path.
         path: PathBuf,
@@ -1110,108 +1110,19 @@ impl Campaign {
         let memoize = shared.memoize;
         let baseline = shared.exec.baseline().clone();
 
-        // Journal setup: load previous outcomes when resuming, then keep a
-        // writer open for streaming appends. The header records the
-        // memoization and impairment settings alongside the campaign
-        // identity, so appending to a journal written under different
-        // memo/impairment semantics is refused instead of silently mixing
-        // provenance markers (or metrics) from two different worlds.
-        let header = JournalHeader {
-            implementation: spec.protocol.implementation_name().to_owned(),
-            seed: spec.seed,
-            threshold: config.threshold,
-            memoize: Some(memoize),
-            impairment: Some(spec.bottleneck().impair.to_string()),
-        };
-        let mut reusable: BTreeMap<u64, journal::JournalEntry> = BTreeMap::new();
-        let mut journal_lines_skipped = 0;
-        let writer: Option<JournalWriter> = match (&config.journal, config.resume) {
-            (None, true) => return Err(CampaignError::ResumeWithoutJournal),
-            (None, false) => None,
-            (Some(path), resume) => {
-                let journal_err = |source| CampaignError::Journal {
-                    path: path.clone(),
-                    source,
-                };
-                if resume {
-                    // Stream the journal line by line: a 1M-strategy
-                    // journal replays without ever holding the whole file
-                    // in memory (only the reusable outcomes themselves).
-                    let mut reader = journal::JournalReader::open(path).map_err(journal_err)?;
-                    if let Some(detail) = reader.header().and_then(|h| h.mismatch_against(&header))
-                    {
-                        return Err(CampaignError::JournalMismatch {
-                            path: path.clone(),
-                            detail,
-                        });
-                    }
-                    let writer = if reader.header().is_some() {
-                        while let Some(entry) = reader.next_entry().map_err(journal_err)? {
-                            reusable.insert(entry.outcome.strategy.id, entry);
-                        }
-                        Some(JournalWriter::append(path).map_err(journal_err)?)
-                    } else {
-                        // Missing or headerless journal: resuming from
-                        // nothing is just a fresh run. Drain the reader
-                        // first so damaged-line accounting matches what a
-                        // whole-file load reported.
-                        while reader.next_entry().map_err(journal_err)?.is_some() {}
-                        Some(JournalWriter::create(path, &header).map_err(journal_err)?)
-                    };
-                    journal_lines_skipped = reader.malformed_lines();
-                    writer
-                } else {
-                    Some(JournalWriter::create(path, &header).map_err(journal_err)?)
-                }
-            }
-        };
-
-        let digest = scenario_digest(spec, config.threshold, config.baseline_reps);
-
-        // Journal segments — the worker-side crash-tolerance layer. A
-        // resuming controller merges whatever the crashed run's workers
-        // wrote (journal wins on overlap) into a prefetch map, replayed
-        // through the ordinary admission path below so nothing a worker
-        // already evaluated runs again. The merged files stay on disk
-        // until this run completes: if the resume itself crashes before
-        // re-journaling a prefetched outcome, the next resume still finds
-        // it — the controller pid in segment filenames keeps this run's
-        // own workers from overwriting them. A fresh run instead clears
-        // stale segments so it cannot inherit another campaign's.
-        let mut seg_dir = config.journal.as_deref().map(segment::segment_dir);
-        let mut prefetch: BTreeMap<u64, SegmentEntry> = BTreeMap::new();
-        if let Some(dir) = &seg_dir {
-            if config.resume {
-                match segment::merge(dir, digest, memoize, |id| reusable.contains_key(&id)) {
-                    Ok(merge) => {
-                        config
-                            .observer
-                            .counter_add("shard.segments.merged", merge.merged);
-                        config
-                            .observer
-                            .counter_add("shard.segments.discarded", merge.discarded);
-                        prefetch = merge.entries;
-                    }
-                    Err(err) => {
-                        eprintln!(
-                            "snake: segment merge failed ({err}); resuming from the journal alone"
-                        );
-                    }
-                }
-            } else {
-                segment::clear_dir(dir);
-            }
-            if config.shards > 0 {
-                if let Err(err) = std::fs::create_dir_all(dir) {
-                    eprintln!(
-                        "snake: cannot create segment directory {} ({err}); \
-                         workers will not write segments",
-                        dir.display()
-                    );
-                    seg_dir = None;
-                }
-            }
-        }
+        // Journal setup: reuse what the journal holds when resuming — with
+        // the outcomes a crashed sharded run's workers left in their
+        // segments folded into it first — then keep the journal open for
+        // streaming appends. The header pins the campaign identity, the
+        // memoization and impairment settings and the scenario digest, so
+        // a resume under any other setting is refused instead of silently
+        // mixing outcomes from two different worlds.
+        let journal::OpenedJournal {
+            journal,
+            mut reusable,
+            lines_skipped: journal_lines_skipped,
+            segments,
+        } = journal::open_campaign(config, &shared.journal_header())?;
 
         // Controller kill-switch: exit the whole process (code 23) right
         // after the Nth admission reaches the journal — the fault the
@@ -1224,32 +1135,14 @@ impl Campaign {
         });
         let admissions = AtomicU64::new(0);
 
-        let journal_cell = writer.map(Mutex::new);
+        let journal_cell = journal.map(Mutex::new);
         let journal_error: Mutex<Option<io::Error>> = Mutex::new(None);
-        let journal_writes = AtomicU64::new(0);
         let progress = Mutex::new(Progress::default());
         let progress_every = config.progress_every;
-        let chaos = config.chaos;
-        let observer_for_journal = config.observer.clone();
         let on_outcome = |outcome: &StrategyOutcome, counters: Option<&[(String, u64)]>| {
             if let Some(cell) = &journal_cell {
-                let mut writer = cell.lock().unwrap_or_else(|e| e.into_inner());
-                let n = journal_writes.fetch_add(1, Ordering::Relaxed) + 1;
-                let counters = counters.unwrap_or(&[]);
-                let mut result = if chaos.is_some_and(|c| c.fails_journal_write(n)) {
-                    observer_for_journal.counter_add("campaign.journal_faults", 1);
-                    Err(io::Error::other("chaos: injected journal write failure"))
-                } else {
-                    writer.record_with_counters(outcome, counters)
-                };
-                if result.is_err() {
-                    // One bounded retry: a transient write failure (or an
-                    // injected chaos fault) gets a second chance before
-                    // the campaign aborts with a journal error.
-                    observer_for_journal.counter_add("campaign.journal_retries", 1);
-                    result = writer.record_with_counters(outcome, counters);
-                }
-                if let Err(e) = result {
+                let mut journal = cell.lock().unwrap_or_else(|e| e.into_inner());
+                if let Err(e) = journal.append(outcome, counters.unwrap_or(&[])) {
                     let mut slot = journal_error.lock().unwrap_or_else(|e| e.into_inner());
                     if slot.is_none() {
                         *slot = Some(e);
@@ -1295,7 +1188,7 @@ impl Campaign {
         // way: generation, admission and journal never leave this process.
         let mut pool = if config.shards > 0 {
             let _span = observe::span(config.observer.as_ref(), "phase.shard_launch", 0);
-            match ShardPool::launch(config, memoize, seg_dir.clone()) {
+            match ShardPool::launch(config, memoize, segments) {
                 Ok(pool) => {
                     if pool.live() == 0 {
                         eprintln!(
@@ -1401,19 +1294,7 @@ impl Campaign {
             }
             let batch_span = observe::span(config.observer.as_ref(), "phase.batch", 0);
             let (indices, batch): (Vec<usize>, Vec<Strategy>) = to_run.into_iter().unzip();
-            // Segment prefetch: outcomes a crashed run's workers already
-            // evaluated replay through the batch machinery (admission,
-            // journal, counter fold) at their exact index position instead
-            // of running again — full-strategy identity is required, like
-            // journal reuse, so a stale segment entry re-runs.
-            let pre: Vec<Option<SegmentEntry>> = batch
-                .iter()
-                .map(|s| match prefetch.remove(&s.id) {
-                    Some(entry) if entry.outcome.strategy == *s => Some(entry),
-                    _ => None,
-                })
-                .collect();
-            let ran = run_batch(&shared, batch, pre, pool.as_mut(), &on_outcome);
+            let ran = run_batch(&shared, batch, pool.as_mut(), &on_outcome);
             for (i, outcome) in indices.into_iter().zip(ran) {
                 round[i] = Some(outcome);
             }
@@ -1463,9 +1344,9 @@ impl Campaign {
         }
 
         // A completed campaign owes nothing to its segments: every
-        // outcome (prefetched ones included) is in the journal now.
-        if let Some(dir) = &seg_dir {
-            segment::clear_dir(dir);
+        // outcome (folded-in ones included) is in the journal now.
+        if let Some(path) = &config.journal {
+            journal::clear_dir(&journal::segment_dir(path));
         }
 
         // Classify and cluster the true attack strategies.
@@ -1646,6 +1527,30 @@ impl SharedCtx {
             stalls: AtomicUsize::new(0),
             quarantined: AtomicUsize::new(0),
         })
+    }
+
+    /// The header line of this campaign's journal and of every worker
+    /// segment: the campaign identity, the effective memoize flag, the
+    /// impairment and the scenario digest. The controller and each shard
+    /// worker build it here, so a segment header equals the journal's
+    /// exactly when both evaluate the same campaign.
+    pub(crate) fn journal_header(&self) -> CampaignHeader {
+        let config = &self.config;
+        let spec = &config.scenario;
+        CampaignHeader {
+            fields: JournalHeader {
+                implementation: spec.protocol.implementation_name().to_owned(),
+                seed: spec.seed,
+                threshold: config.threshold,
+                memoize: Some(self.memoize),
+                impairment: Some(spec.bottleneck().impair.to_string()),
+            },
+            digest: Some(scenario_digest(
+                spec,
+                config.threshold,
+                config.baseline_reps,
+            )),
+        }
     }
 }
 
@@ -2019,22 +1924,8 @@ type PendingOutcome = (StrategyOutcome, Option<Vec<(String, u64)>>);
 type OnOutcome<'a> = &'a (dyn Fn(&StrategyOutcome, Option<&[(String, u64)]>) + Sync);
 
 /// Hands one evaluated index to the release buffer, from any executor:
-/// a local thread, a shard link, or the segment prefetch.
+/// a local thread or a shard link.
 pub(crate) type Admit<'a> = &'a (dyn Fn(usize, StrategyOutcome, Option<Vec<(String, u64)>>) + Sync);
-
-/// Admits the contiguous ready prefix of the release buffer: fold the
-/// entry's counter deltas (shard and segment-prefetched outcomes carry
-/// their worker's tallies), then journal.
-fn drain_release(state: &mut ReleaseState, shared: &Shared, on_outcome: OnOutcome<'_>) {
-    while let Some((outcome, counters)) = state.pending.remove(&state.next) {
-        if let Some(counters) = &counters {
-            fold_worker_counters(shared, counters);
-        }
-        on_outcome(&outcome, counters.as_deref());
-        state.done.push(outcome);
-        state.next += 1;
-    }
-}
 
 /// The batch's dispatch queue: contiguous `(start, len)` index ranges
 /// still to evaluate, plus how many indices shard links hold in flight.
@@ -2051,24 +1942,13 @@ struct QueueState {
 }
 
 impl WorkQueue {
-    /// Queues every index `prefetched` marks `false`, as contiguous ranges
-    /// of at most `chunk` indices.
-    fn new(prefetched: &[bool], chunk: usize) -> WorkQueue {
-        let mut ranges = VecDeque::new();
-        let mut i = 0;
-        while i < prefetched.len() {
-            if prefetched[i] {
-                i += 1;
-                continue;
-            }
-            let len = prefetched[i..]
-                .iter()
-                .take(chunk)
-                .take_while(|&&done| !done)
-                .count();
-            ranges.push_back((i, len));
-            i += len;
-        }
+    /// Queues indices `0..len` as contiguous ranges of at most `chunk`
+    /// (at least one) indices.
+    fn new(len: usize, chunk: usize) -> WorkQueue {
+        let ranges = (0..len)
+            .step_by(chunk)
+            .map(|start| (start, chunk.min(len - start)))
+            .collect();
         WorkQueue {
             state: Mutex::new(QueueState {
                 ranges,
@@ -2162,14 +2042,9 @@ impl WorkQueue {
 /// worker dies ([`ShardPool::drive`]). Without one — or for whatever a
 /// pool that died entirely left behind — `parallelism` local threads
 /// claim one index at a time and evaluate it in this process.
-///
-/// `pre` holds segment-prefetched outcomes (from a crashed sharded run)
-/// positionally: a `Some` index is never queued, its outcome admits at its
-/// exact position with the crashed run's worker counter deltas instead.
 fn run_batch(
     shared: &Shared,
     strategies: Vec<Strategy>,
-    pre: Vec<Option<SegmentEntry>>,
     pool: Option<&mut ShardPool>,
     on_outcome: OnOutcome<'_>,
 ) -> Vec<StrategyOutcome> {
@@ -2181,30 +2056,28 @@ fn run_batch(
     // Ranges of about a quarter of a link's fair share: a slow or dying
     // shard strands little.
     let chunk = n.div_ceil(pool.as_ref().map_or(1, |pool| pool.live()) * 4);
-    let prefetched: Vec<bool> = pre.iter().map(Option::is_some).collect();
-    let queue = WorkQueue::new(&prefetched, chunk);
+    let queue = WorkQueue::new(n, chunk);
     let release = Mutex::new(ReleaseState {
         next: 0,
-        pending: pre
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, entry)| entry.map(|e| (i, (e.outcome, Some(e.counters)))))
-            .collect(),
+        pending: BTreeMap::new(),
         done: Vec::with_capacity(n),
     });
-    // Lock order is always release → journal.
+    // Admits the contiguous ready prefix: fold the entry's counter deltas
+    // (shard outcomes carry their worker's tallies), then journal. Lock
+    // order is always release → journal.
     let admit = |index: usize, outcome: StrategyOutcome, counters| {
-        let mut state = release.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = release.lock().unwrap_or_else(|e| e.into_inner());
+        let state = &mut *guard;
         state.pending.insert(index, (outcome, counters));
-        drain_release(&mut state, shared, on_outcome);
+        while let Some((outcome, counters)) = state.pending.remove(&state.next) {
+            if let Some(counters) = &counters {
+                fold_worker_counters(shared, counters);
+            }
+            on_outcome(&outcome, counters.as_deref());
+            state.done.push(outcome);
+            state.next += 1;
+        }
     };
-    // A fully prefetched prefix (or batch) must admit even if no executor
-    // ever inserts ahead of it.
-    drain_release(
-        &mut release.lock().unwrap_or_else(|e| e.into_inner()),
-        shared,
-        on_outcome,
-    );
     if let Some(pool) = pool {
         pool.drive(&shared.config, &queue, &strategies, chunk, &admit);
     }
@@ -2460,23 +2333,19 @@ mod tests {
     }
 
     #[test]
-    fn work_queue_covers_exactly_the_non_prefetched_indices() {
-        // Indices 2, 3 and 7 were prefetched from segments.
-        let prefetched = [
-            false, false, true, true, false, false, false, true, false, false, false,
-        ];
-        let queue = WorkQueue::new(&prefetched, 2);
+    fn work_queue_covers_every_index_in_chunk_ranges() {
+        let queue = WorkQueue::new(7, 3);
         let ranges: Vec<_> = queue.lock().ranges.iter().copied().collect();
-        assert_eq!(ranges, [(0, 2), (4, 2), (6, 1), (8, 2), (10, 1)]);
-        assert_eq!(queue.remaining(), 8);
+        assert_eq!(ranges, [(0, 3), (3, 3), (6, 1)]);
+        assert_eq!(queue.remaining(), 7);
         let claimed: Vec<usize> = std::iter::from_fn(|| queue.take_index()).collect();
-        assert_eq!(claimed, [0, 1, 4, 5, 6, 8, 9, 10]);
-        assert_eq!(WorkQueue::new(&[true, true], 4).remaining(), 0);
+        assert_eq!(claimed, [0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(WorkQueue::new(0, 4).remaining(), 0);
     }
 
     #[test]
     fn a_requeue_puts_the_lowest_unfinished_index_first() {
-        let queue = WorkQueue::new(&[false; 10], 3);
+        let queue = WorkQueue::new(10, 3);
         // A link claims its first range, then a requeued-looking later
         // one, delivers index 0 and dies holding the rest.
         let mut outstanding = VecDeque::new();

@@ -24,15 +24,30 @@
 //!
 //! Checksums are optional on read: journals written before this scheme
 //! (bare JSON lines) still load.
+//!
+//! Worker *segments* are journals too. In a sharded campaign with a
+//! journal, every shard worker appends each outcome it evaluates, with its
+//! counter deltas, to a private journal file in `<journal>.segments/`,
+//! named `shard-<nn>-g<gen>-p<pid>.seg`. The generation tells a reconnected
+//! worker's file from its predecessor's; the controller pid keeps a resumed
+//! run's files from overwriting the crashed run's. A controller that dies
+//! loses what was evaluated but still on the wire; on resume
+//! [`open_campaign`] folds every segment whose header equals the
+//! campaign's into the journal before round 0, so the campaign resumes
+//! from the journal alone. The directory is cleared when a fresh campaign
+//! starts and removed once a campaign completes.
 
+use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use snake_json::{obj, FromJson, JsonError, ObjExt, ToJson, Value};
+use snake_observe::Observer;
 use snake_proxy::{ProxyReport, Strategy};
 
-use crate::campaign::{OutcomeKind, StrategyOutcome};
+use crate::campaign::{CampaignConfig, CampaignError, ChaosPlan, OutcomeKind, StrategyOutcome};
 use crate::detect::Verdict;
 use crate::scenario::{ScenarioSpec, TestMetrics};
 
@@ -370,9 +385,69 @@ impl FromJson for JournalHeader {
     }
 }
 
+/// The header line a campaign writes, to its journal and to every worker
+/// segment alike: the [`JournalHeader`] fields plus the
+/// [`scenario_digest`], which travels beside them on the same line.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CampaignHeader {
+    pub(crate) fields: JournalHeader,
+    /// `None` in headers written without one (before the digest existed,
+    /// or from a bare [`JournalHeader`]); a journal resume accepts those,
+    /// as it accepts legacy headers without `memoize` or `impairment`.
+    pub(crate) digest: Option<u64>,
+}
+
+impl CampaignHeader {
+    /// [`JournalHeader::mismatch_against`], plus the scenario digest when
+    /// both headers carry one. The digest also covers what the five
+    /// fields do not — the workload, the topology, the baseline reps.
+    pub(crate) fn mismatch_against(&self, current: &CampaignHeader) -> Option<String> {
+        let mut diffs: Vec<String> = self
+            .fields
+            .mismatch_against(&current.fields)
+            .into_iter()
+            .collect();
+        if let (Some(a), Some(b)) = (self.digest, current.digest) {
+            if a != b {
+                diffs.push(format!(
+                    "scenario digest: journal has {a:016x}, campaign has {b:016x}"
+                ));
+            }
+        }
+        (!diffs.is_empty()).then(|| diffs.join("; "))
+    }
+}
+
+impl ToJson for CampaignHeader {
+    fn to_json(&self) -> Value {
+        let mut json = self.fields.to_json();
+        if let (Some(digest), Value::Obj(pairs)) = (self.digest, &mut json) {
+            pairs.push(("digest".to_owned(), Value::Str(format!("{digest:016x}"))));
+        }
+        json
+    }
+}
+
+impl FromJson for CampaignHeader {
+    fn from_json(value: &Value) -> Result<CampaignHeader, JsonError> {
+        let digest = match value.get("digest") {
+            None | Some(Value::Null) => None,
+            Some(hex) => Some(
+                hex.as_str()
+                    .filter(|hex| hex.len() == 16)
+                    .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+                    .ok_or_else(|| JsonError::decode("field `digest` must be 16 hex digits"))?,
+            ),
+        };
+        Ok(CampaignHeader {
+            fields: JournalHeader::from_json(value)?,
+            digest,
+        })
+    }
+}
+
 /// Encodes worker counter deltas as a JSON object (`name -> count`), the
-/// shape they travel in on the shard wire, in journal outcome lines, and
-/// in journal segments.
+/// shape they travel in on the shard wire and in journal outcome lines.
 pub(crate) fn counters_json(counters: &[(String, u64)]) -> Value {
     Value::Obj(
         counters
@@ -411,8 +486,8 @@ pub(crate) fn line_checksum(payload: &str) -> u64 {
 /// Stable FNV-1a digest of everything scenario-side that can influence a
 /// verdict: the full [`ScenarioSpec`] (topology, workload, budgets, seed,
 /// impairments), the detection threshold, and the baseline-ensemble size.
-/// Journal segments and the shard handshake gate on it. Hashing the
-/// spec's `Debug` rendering deliberately over-approximates — any
+/// Journal and segment headers and the shard handshake gate on it.
+/// Hashing the spec's `Debug` rendering deliberately over-approximates — any
 /// representational change (a new field, a reordered one) moves the
 /// digest in the safe direction — and keeps the digest independent of the
 /// shard wire's spec encoding, which the wire's self-check relies on.
@@ -459,12 +534,13 @@ pub struct JournalWriter {
 }
 
 impl JournalWriter {
-    /// Starts a fresh journal and writes the header line. The header is
-    /// written to a temporary sibling file and renamed into place, so a
-    /// crash here leaves either the old journal or a complete new header —
-    /// never a torn one. The returned writer keeps appending through the
-    /// same (renamed) file handle.
-    pub fn create(path: &Path, header: &JournalHeader) -> io::Result<JournalWriter> {
+    /// Starts a fresh journal and writes the header line: a
+    /// [`JournalHeader`], or inside the crate one that also carries the
+    /// scenario digest. The header is written to a temporary sibling file
+    /// and renamed into place, so a crash here leaves either the old
+    /// journal or a complete new header — never a torn one. The returned
+    /// writer keeps appending through the same (renamed) file handle.
+    pub fn create(path: &Path, header: &impl ToJson) -> io::Result<JournalWriter> {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp_path = std::path::PathBuf::from(tmp);
@@ -534,7 +610,7 @@ impl JournalWriter {
 
 /// One journal outcome line read back with its embedded worker counter
 /// deltas (empty for lines written without any).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct JournalEntry {
     /// The recorded outcome.
     pub outcome: StrategyOutcome,
@@ -559,19 +635,16 @@ pub struct LoadedJournal {
 /// line 0) is classified eagerly at [`open`](JournalReader::open), so
 /// [`header`](JournalReader::header) is meaningful before any outcome has
 /// been pulled. Tolerance matches [`load`]: a missing file is an empty
-/// journal, and a line that fails its checksum, fails to parse, or
-/// carries an unexpected type is skipped and counted in
+/// journal, and a line that is not UTF-8, fails its checksum, fails to
+/// parse, or carries an unexpected type is skipped and counted in
 /// [`malformed_lines`](JournalReader::malformed_lines), never fatal.
 #[derive(Debug)]
 pub struct JournalReader {
     /// `None` for a missing file or once the file is exhausted.
-    lines: Option<std::io::Lines<BufReader<File>>>,
-    /// Raw line index of the next line `lines` will yield (blank and
-    /// malformed lines count, exactly as [`load`]'s enumeration did).
-    line_index: usize,
-    header: Option<JournalHeader>,
+    file: Option<BufReader<File>>,
+    header: Option<CampaignHeader>,
     /// An outcome sitting at raw line 0 (a headerless journal), decoded
-    /// during `open` and handed out by the first `next_outcome` call.
+    /// during `open` and handed out by the first `next_entry` call.
     pending: Option<Box<JournalEntry>>,
     malformed_lines: usize,
 }
@@ -582,21 +655,12 @@ impl JournalReader {
     /// journal, not an error.
     pub fn open(path: &Path) -> io::Result<JournalReader> {
         let file = match File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Ok(JournalReader {
-                    lines: None,
-                    line_index: 0,
-                    header: None,
-                    pending: None,
-                    malformed_lines: 0,
-                })
-            }
+            Ok(f) => Some(BufReader::new(f)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
             Err(e) => return Err(e),
         };
         let mut reader = JournalReader {
-            lines: Some(BufReader::new(file).lines()),
-            line_index: 0,
+            file,
             header: None,
             pending: None,
             malformed_lines: 0,
@@ -605,7 +669,7 @@ impl JournalReader {
         // legitimately occupy, and callers decide resume-vs-fresh from
         // `header()` before replaying anything.
         if let Some(first) = reader.next_line()? {
-            match reader.classify(&first, 0) {
+            match reader.classify(&first, true) {
                 Classified::Header(header) => reader.header = Some(header),
                 Classified::Outcome(outcome) => reader.pending = Some(outcome),
                 Classified::Skipped => {}
@@ -616,98 +680,74 @@ impl JournalReader {
 
     /// The header line, when raw line 0 carried a well-formed one.
     pub fn header(&self) -> Option<&JournalHeader> {
-        self.header.as_ref()
+        self.header.as_ref().map(|h| &h.fields)
     }
 
     /// Malformed lines encountered *so far*. Equals [`load`]'s total once
-    /// [`next_outcome`](JournalReader::next_outcome) has returned `None`.
+    /// [`next_entry`](JournalReader::next_entry) has returned `None`.
     pub fn malformed_lines(&self) -> usize {
         self.malformed_lines
     }
 
-    /// Returns the next well-formed outcome, or `None` at end of file.
-    /// I/O errors abort; damaged lines are skipped and counted.
-    pub fn next_outcome(&mut self) -> io::Result<Option<StrategyOutcome>> {
-        Ok(self.next_entry()?.map(|entry| entry.outcome))
-    }
-
-    /// Like [`next_outcome`](JournalReader::next_outcome), but keeps the
-    /// worker counter deltas embedded in the line (empty for lines
-    /// written without any), so resuming campaigns can re-fold them.
+    /// Returns the next well-formed outcome with the worker counter
+    /// deltas embedded in its line (empty for lines written without any),
+    /// or `None` at end of file. I/O errors abort; damaged lines are
+    /// skipped and counted.
     pub fn next_entry(&mut self) -> io::Result<Option<JournalEntry>> {
         if let Some(pending) = self.pending.take() {
             return Ok(Some(*pending));
         }
-        loop {
-            let index = self.line_index;
-            let Some(line) = self.next_line()? else {
-                return Ok(None);
-            };
-            match self.classify(&line, index) {
-                Classified::Outcome(entry) => return Ok(Some(*entry)),
-                Classified::Header(_) | Classified::Skipped => {}
+        while let Some(line) = self.next_line()? {
+            if let Classified::Outcome(entry) = self.classify(&line, false) {
+                return Ok(Some(*entry));
             }
         }
+        Ok(None)
     }
 
-    fn next_line(&mut self) -> io::Result<Option<String>> {
-        let Some(lines) = &mut self.lines else {
+    fn next_line(&mut self) -> io::Result<Option<Vec<u8>>> {
+        let Some(file) = &mut self.file else {
             return Ok(None);
         };
-        match lines.next() {
-            Some(line) => {
-                self.line_index += 1;
-                Ok(Some(line?))
-            }
-            None => {
-                self.lines = None;
-                Ok(None)
-            }
+        let mut line = Vec::new();
+        if file.read_until(b'\n', &mut line)? == 0 {
+            self.file = None;
+            return Ok(None);
         }
+        Ok(Some(line))
     }
 
-    fn classify(&mut self, line: &str, index: usize) -> Classified {
-        if line.trim().is_empty() {
+    /// Decodes one raw line; only the `first` may be a header. A blank
+    /// line is skipped; a damaged one — not UTF-8, failing its checksum
+    /// (checked first, so it is never trusted even if it still parses),
+    /// unparsable, or of an unexpected type — is skipped and counted.
+    fn classify(&mut self, bytes: &[u8], first: bool) -> Classified {
+        let text = std::str::from_utf8(bytes).map(|s| s.trim_end_matches(['\r', '\n']));
+        if text.is_ok_and(|s| s.trim().is_empty()) {
             return Classified::Skipped;
         }
-        // Checksum gate first: a damaged line must not be trusted even if
-        // it still happens to parse as JSON.
-        let Some(payload) = verify_line(line) else {
-            self.malformed_lines += 1;
-            return Classified::Skipped;
-        };
-        let Ok(parsed) = snake_json::parse(payload) else {
-            self.malformed_lines += 1;
-            return Classified::Skipped;
-        };
-        match parsed.req_str("type") {
-            Ok("campaign") if index == 0 => match JournalHeader::from_json(&parsed) {
-                Ok(header) => Classified::Header(header),
-                Err(_) => {
-                    self.malformed_lines += 1;
-                    Classified::Skipped
-                }
-            },
-            Ok("outcome") => match StrategyOutcome::from_json(&parsed) {
-                Ok(outcome) => Classified::Outcome(Box::new(JournalEntry {
-                    outcome,
+        let decoded = text.ok().and_then(verify_line).and_then(|payload| {
+            let parsed = snake_json::parse(payload).ok()?;
+            match parsed.get("type")?.as_str()? {
+                "campaign" if first => CampaignHeader::from_json(&parsed)
+                    .ok()
+                    .map(Classified::Header),
+                "outcome" => Some(Classified::Outcome(Box::new(JournalEntry {
+                    outcome: StrategyOutcome::from_json(&parsed).ok()?,
                     counters: decode_counters(parsed.get("counters")),
-                })),
-                Err(_) => {
-                    self.malformed_lines += 1;
-                    Classified::Skipped
-                }
-            },
-            _ => {
-                self.malformed_lines += 1;
-                Classified::Skipped
+                }))),
+                _ => None,
             }
-        }
+        });
+        decoded.unwrap_or_else(|| {
+            self.malformed_lines += 1;
+            Classified::Skipped
+        })
     }
 }
 
 enum Classified {
-    Header(JournalHeader),
+    Header(CampaignHeader),
     Outcome(Box<JournalEntry>),
     Skipped,
 }
@@ -719,14 +759,244 @@ enum Classified {
 pub fn load(path: &Path) -> io::Result<LoadedJournal> {
     let mut reader = JournalReader::open(path)?;
     let mut outcomes = Vec::new();
-    while let Some(outcome) = reader.next_outcome()? {
-        outcomes.push(outcome);
+    while let Some(entry) = reader.next_entry()? {
+        outcomes.push(entry.outcome);
     }
     Ok(LoadedJournal {
-        header: reader.header.take(),
+        header: reader.header.take().map(|h| h.fields),
         outcomes,
         malformed_lines: reader.malformed_lines,
     })
+}
+
+/// The directory holding a journal's worker segments: the journal path
+/// with a `.segments` suffix.
+pub(crate) fn segment_dir(journal: &Path) -> PathBuf {
+    let mut s = journal.as_os_str().to_owned();
+    s.push(".segments");
+    PathBuf::from(s)
+}
+
+/// The segment file one worker connection writes (see the module docs).
+pub(crate) fn segment_file(dir: &Path, shard: usize, generation: u64) -> PathBuf {
+    dir.join(format!(
+        "shard-{shard:02}-g{generation}-p{pid}.seg",
+        pid = std::process::id()
+    ))
+}
+
+/// Deletes every segment in the directory — `*.seg`, and the `*.seg.tmp`
+/// a worker killed inside [`JournalWriter::create`] leaves — then the
+/// directory itself when it ends up empty. A missing directory is fine;
+/// so is a file vanishing mid-walk.
+pub(crate) fn clear_dir(dir: &Path) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name.ends_with(".seg") || name.ends_with(".seg.tmp") {
+            fs::remove_file(entry.path()).ok();
+        }
+    }
+    fs::remove_dir(dir).ok();
+}
+
+/// The campaign's journal writer and the write-and-one-retry policy every
+/// append goes through: admitted outcomes, and segment outcomes folded in
+/// on resume.
+pub(crate) struct CampaignJournal {
+    writer: JournalWriter,
+    /// Appends attempted so far: the chaos plan's write ordinal.
+    writes: u64,
+    chaos: Option<ChaosPlan>,
+    observer: Arc<dyn Observer>,
+}
+
+impl CampaignJournal {
+    /// Appends one outcome with its worker counter deltas. A failed write
+    /// (or an injected chaos fault) gets one bounded retry before the
+    /// error is returned.
+    pub(crate) fn append(
+        &mut self,
+        outcome: &StrategyOutcome,
+        counters: &[(String, u64)],
+    ) -> io::Result<()> {
+        self.writes += 1;
+        let result = if self
+            .chaos
+            .is_some_and(|c| c.fails_journal_write(self.writes))
+        {
+            self.observer.counter_add("campaign.journal_faults", 1);
+            Err(io::Error::other("chaos: injected journal write failure"))
+        } else {
+            self.writer.record_with_counters(outcome, counters)
+        };
+        result.or_else(|_| {
+            self.observer.counter_add("campaign.journal_retries", 1);
+            self.writer.record_with_counters(outcome, counters)
+        })
+    }
+}
+
+/// A campaign's journal state, ready for round 0.
+pub(crate) struct OpenedJournal {
+    /// Where admitted outcomes go; `None` when the campaign has no journal.
+    pub(crate) journal: Option<CampaignJournal>,
+    /// Outcomes a resume reuses, keyed by strategy id: the journal's,
+    /// including the segment outcomes just folded into it.
+    pub(crate) reusable: BTreeMap<u64, JournalEntry>,
+    /// Damaged journal lines a resume skipped.
+    pub(crate) lines_skipped: usize,
+    /// The directory shard workers write their segments into, when the
+    /// campaign is sharded and the directory could be created.
+    pub(crate) segments: Option<PathBuf>,
+}
+
+/// Sets up a campaign's journal and worker segments.
+///
+/// A fresh campaign writes `header` to a new journal and clears stale
+/// segments, so it cannot inherit another campaign's. A resume first
+/// refuses a journal whose header mismatches (digest included when both
+/// carry one), then reads it; a missing or headerless journal resumes
+/// from nothing. It then folds in every segment whose header equals
+/// `header` exactly: each outcome whose strategy id the journal lacks is
+/// appended, in strategy-id order, through [`CampaignJournal::append`].
+/// The segment files stay until the campaign completes, so a resume that
+/// itself crashes still finds them (journal wins on the next fold).
+pub(crate) fn open_campaign(
+    config: &CampaignConfig,
+    header: &CampaignHeader,
+) -> Result<OpenedJournal, CampaignError> {
+    let mut opened = OpenedJournal {
+        journal: None,
+        reusable: BTreeMap::new(),
+        lines_skipped: 0,
+        segments: None,
+    };
+    // The builder has already refused `resume` without a journal.
+    let Some(path) = &config.journal else {
+        return Ok(opened);
+    };
+    let journal_err = |source| CampaignError::Journal {
+        path: path.clone(),
+        source,
+    };
+    let mut resumable = false;
+    if config.resume {
+        // Stream the journal line by line: a 1M-strategy journal replays
+        // without ever holding the whole file in memory.
+        let mut reader = JournalReader::open(path).map_err(journal_err)?;
+        if let Some(detail) = reader
+            .header
+            .as_ref()
+            .and_then(|h| h.mismatch_against(header))
+        {
+            return Err(CampaignError::JournalMismatch {
+                path: path.clone(),
+                detail,
+            });
+        }
+        resumable = reader.header.is_some();
+        // Drain even a headerless journal, so damaged-line accounting
+        // matches what a whole-file load reports.
+        while let Some(entry) = reader.next_entry().map_err(journal_err)? {
+            if resumable {
+                opened.reusable.insert(entry.outcome.strategy.id, entry);
+            }
+        }
+        opened.lines_skipped = reader.malformed_lines;
+    }
+    let writer = if resumable {
+        JournalWriter::append(path)
+    } else {
+        JournalWriter::create(path, header)
+    };
+    let mut journal = CampaignJournal {
+        writer: writer.map_err(journal_err)?,
+        writes: 0,
+        chaos: config.chaos,
+        observer: config.observer.clone(),
+    };
+    let dir = segment_dir(path);
+    if config.resume {
+        match read_segments(&dir, header, &opened.reusable) {
+            Ok((fresh, discarded)) => {
+                let observer = config.observer.as_ref();
+                observer.counter_add("shard.segments.merged", fresh.len() as u64);
+                observer.counter_add("shard.segments.discarded", discarded);
+                for (id, entry) in fresh {
+                    journal
+                        .append(&entry.outcome, &entry.counters)
+                        .map_err(journal_err)?;
+                    opened.reusable.insert(id, entry);
+                }
+            }
+            Err(err) => {
+                eprintln!("snake: segment merge failed ({err}); resuming from the journal alone");
+            }
+        }
+    } else {
+        clear_dir(&dir);
+    }
+    opened.journal = Some(journal);
+    if config.shards > 0 {
+        match fs::create_dir_all(&dir) {
+            Ok(()) => opened.segments = Some(dir),
+            Err(err) => eprintln!(
+                "snake: cannot create segment directory {} ({err}); \
+                 workers will not write segments",
+                dir.display()
+            ),
+        }
+    }
+    Ok(opened)
+}
+
+/// Reads every `*.seg` file in `dir`, in sorted name order, and returns
+/// the outcomes `journaled` lacks, keyed by strategy id, plus the number
+/// of lines discarded. A file whose header is not exactly `header` — a
+/// foreign campaign, another memoize mode, a headerless or older-format
+/// file — is discarded whole, header line included; so are torn or
+/// corrupt lines, ids the journal already holds (admitted before the
+/// crash, so the segment copy is stale) and ids an earlier file supplied
+/// (a range re-dispatched after its worker died; evaluation is
+/// deterministic, so the copies are identical). A missing directory
+/// yields nothing.
+fn read_segments(
+    dir: &Path,
+    header: &CampaignHeader,
+    journaled: &BTreeMap<u64, JournalEntry>,
+) -> io::Result<(BTreeMap<u64, JournalEntry>, u64)> {
+    let mut fresh = BTreeMap::new();
+    let mut discarded = 0u64;
+    let entries = match fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((fresh, 0)),
+        Err(e) => return Err(e),
+    };
+    let mut files: Vec<PathBuf> = entries
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+        .collect();
+    files.sort();
+    for path in files {
+        let mut reader = JournalReader::open(&path)?;
+        let matches = reader.header.as_ref() == Some(header);
+        discarded += u64::from(reader.header.is_some() && !matches);
+        while let Some(entry) = reader.next_entry()? {
+            let id = entry.outcome.strategy.id;
+            if matches && !journaled.contains_key(&id) && !fresh.contains_key(&id) {
+                fresh.insert(id, entry);
+            } else {
+                discarded += 1;
+            }
+        }
+        discarded += reader.malformed_lines as u64;
+    }
+    Ok((fresh, discarded))
 }
 
 #[cfg(test)]
@@ -1018,7 +1288,7 @@ mod tests {
 
     #[test]
     fn scenario_digest_is_pinned() {
-        // Existing segment directories and shard handshakes carry these
+        // Journal and segment headers and shard handshakes carry these
         // values; a change here orphans them.
         use crate::scenario::ProtocolKind;
         let tcp =
@@ -1070,5 +1340,219 @@ mod tests {
         assert!(loaded.header.is_some());
         assert_eq!(loaded.outcomes.len(), 1);
         std::fs::remove_file(&path).ok();
+    }
+
+    fn campaign_header(digest: u64, memoize: bool) -> CampaignHeader {
+        CampaignHeader {
+            fields: JournalHeader {
+                memoize: Some(memoize),
+                ..header("x", 1)
+            },
+            digest: Some(digest),
+        }
+    }
+
+    #[test]
+    fn digest_drift_is_named_and_a_digestless_header_matches() {
+        let ours = campaign_header(0xd1e5, true);
+        assert_eq!(ours.mismatch_against(&ours), None);
+        let stale = campaign_header(0xbeef, false);
+        let detail = stale.mismatch_against(&ours).expect("must mismatch");
+        assert!(detail.contains("scenario digest"), "{detail}");
+        assert!(
+            detail.contains("memoize=false"),
+            "field diffs stay listed: {detail}"
+        );
+        // A header written without a digest resumes, like legacy headers
+        // without memoize or impairment.
+        let legacy = CampaignHeader {
+            digest: None,
+            ..ours.clone()
+        };
+        assert_eq!(legacy.mismatch_against(&ours), None);
+        let back = CampaignHeader::from_json(
+            &snake_json::parse(&ours.to_json().to_string_compact()).unwrap(),
+        )
+        .unwrap();
+        assert_eq!(back, ours);
+    }
+
+    fn counters(n: u64) -> Vec<(String, u64)> {
+        vec![
+            ("exec.runs.from_scratch".into(), n),
+            ("netsim.events".into(), 10 * n),
+        ]
+    }
+
+    fn temp_dir(name: &str) -> PathBuf {
+        let mut p = std::env::temp_dir();
+        p.push(format!("snake-segment-test-{}-{name}", std::process::id()));
+        std::fs::create_dir_all(&p).unwrap();
+        clear_dir(&p);
+        std::fs::create_dir_all(&p).unwrap();
+        p
+    }
+
+    /// Writes a segment under the default test header (digest 0xd1e5,
+    /// memoize on).
+    fn write_segment(dir: &Path, shard: usize, generation: u64, ids: &[u64]) -> PathBuf {
+        let path = segment_file(dir, shard, generation);
+        let mut w = JournalWriter::create(&path, &campaign_header(0xd1e5, true)).unwrap();
+        for &id in ids {
+            w.record_with_counters(&outcome(id), &counters(id)).unwrap();
+        }
+        path
+    }
+
+    /// Reads `dir` against the default test header with nothing journaled.
+    fn fold(dir: &Path) -> (BTreeMap<u64, JournalEntry>, u64) {
+        read_segments(dir, &campaign_header(0xd1e5, true), &BTreeMap::new()).unwrap()
+    }
+
+    #[test]
+    fn write_then_merge_roundtrips_outcomes_and_counters() {
+        let dir = temp_dir("roundtrip");
+        write_segment(&dir, 0, 0, &[3, 5]);
+        let (entries, discarded) = fold(&dir);
+        assert_eq!(entries.len(), 2);
+        assert_eq!(discarded, 0);
+        assert_eq!(entries[&3].outcome, outcome(3));
+        assert_eq!(entries[&5].counters, counters(5));
+        clear_dir(&dir);
+    }
+
+    #[test]
+    fn journal_covered_outcomes_are_discarded() {
+        let dir = temp_dir("journal-wins");
+        write_segment(&dir, 0, 0, &[1, 2, 3]);
+        let journaled = BTreeMap::from([(
+            2,
+            JournalEntry {
+                outcome: outcome(2),
+                counters: Vec::new(),
+            },
+        )]);
+        let (entries, discarded) =
+            read_segments(&dir, &campaign_header(0xd1e5, true), &journaled).unwrap();
+        assert_eq!(entries.keys().copied().collect::<Vec<_>>(), [1, 3]);
+        assert_eq!(discarded, 1, "the already-journaled id must be dropped");
+        clear_dir(&dir);
+    }
+
+    #[test]
+    fn duplicate_range_across_two_segments_keeps_one_copy() {
+        // A worker died after writing its range; the range was
+        // re-dispatched and a survivor wrote it again. Both copies are
+        // identical (evaluation is deterministic); exactly one merges.
+        let dir = temp_dir("duplicate");
+        write_segment(&dir, 0, 0, &[4, 5]);
+        write_segment(&dir, 1, 0, &[5, 6]);
+        let (entries, discarded) = fold(&dir);
+        assert_eq!(discarded, 1, "the duplicated id must be counted once");
+        assert_eq!(entries.keys().copied().collect::<Vec<_>>(), [4, 5, 6]);
+        clear_dir(&dir);
+    }
+
+    #[test]
+    fn empty_and_header_only_segments_merge_to_nothing() {
+        // A worker that died before its first outcome leaves either a
+        // zero-byte file or a header-only one.
+        let dir = temp_dir("empty");
+        std::fs::write(segment_file(&dir, 0, 0), "").unwrap();
+        write_segment(&dir, 1, 0, &[]);
+        assert_eq!(fold(&dir), (BTreeMap::new(), 0));
+        clear_dir(&dir);
+    }
+
+    #[test]
+    fn segment_with_other_digest_or_memoize_is_discarded_whole() {
+        let dir = temp_dir("mismatch");
+        write_segment(&dir, 0, 0, &[1, 2]); // digest 0xd1e5, memoize on
+        let (entries, discarded) =
+            read_segments(&dir, &campaign_header(0xbeef, true), &BTreeMap::new()).unwrap();
+        assert!(entries.is_empty());
+        assert_eq!(discarded, 3, "both lines plus the rejected header");
+        // Same digest, different memoize mode: provenance markers would
+        // not line up, so the file is equally unusable.
+        let (entries, _) =
+            read_segments(&dir, &campaign_header(0xd1e5, false), &BTreeMap::new()).unwrap();
+        assert!(entries.is_empty());
+        // So is a header without a digest: segments must match exactly.
+        let digestless = CampaignHeader {
+            digest: None,
+            ..campaign_header(0xd1e5, true)
+        };
+        let path = segment_file(&dir, 1, 0);
+        let mut w = JournalWriter::create(&path, &digestless).unwrap();
+        w.record_with_counters(&outcome(3), &counters(3)).unwrap();
+        let (entries, _) = fold(&dir);
+        assert_eq!(entries.keys().copied().collect::<Vec<_>>(), [1, 2]);
+        clear_dir(&dir);
+    }
+
+    #[test]
+    fn headerless_segment_is_discarded_whole() {
+        let dir = temp_dir("headerless");
+        let mut text = String::new();
+        for id in [1, 2] {
+            text.push_str(&checksummed_line(
+                &outcome(id).to_json().to_string_compact(),
+            ));
+        }
+        std::fs::write(segment_file(&dir, 0, 0), text).unwrap();
+        assert_eq!(fold(&dir), (BTreeMap::new(), 2));
+        clear_dir(&dir);
+    }
+
+    #[test]
+    fn parent_format_segment_is_discarded_whole() {
+        // The format segments had before they became journals: a
+        // `segment` header, then one `eval` line per outcome.
+        let dir = temp_dir("parent-format");
+        let mut text = checksummed_line(
+            &obj([
+                ("type", Value::Str("segment".into())),
+                ("version", Value::U64(1)),
+                ("shard", Value::U64(0)),
+                ("digest", Value::Str(format!("{:016x}", 0xd1e5))),
+                ("memoize", Value::Bool(true)),
+            ])
+            .to_string_compact(),
+        );
+        for id in [1, 2] {
+            let eval = obj([
+                ("type", Value::Str("eval".into())),
+                ("index", Value::U64(id)),
+                ("busy_nanos", Value::U64(1_000)),
+                ("counters", counters_json(&counters(id))),
+                ("outcome", outcome(id).to_json()),
+            ]);
+            text.push_str(&checksummed_line(&eval.to_string_compact()));
+        }
+        std::fs::write(segment_file(&dir, 0, 0), text).unwrap();
+        assert_eq!(fold(&dir), (BTreeMap::new(), 3));
+        clear_dir(&dir);
+    }
+
+    #[test]
+    fn missing_directory_is_an_empty_merge() {
+        assert_eq!(
+            fold(Path::new("/nonexistent/snake.segments")),
+            (BTreeMap::new(), 0)
+        );
+    }
+
+    #[test]
+    fn clear_dir_also_removes_a_torn_create() {
+        let dir = temp_dir("clear");
+        let seg = write_segment(&dir, 0, 0, &[1]);
+        let mut tmp = seg.as_os_str().to_owned();
+        tmp.push(".tmp");
+        std::fs::write(&tmp, "").unwrap();
+        clear_dir(&dir);
+        assert!(
+            !dir.exists(),
+            "segments, the temp file and the dir are gone"
+        );
     }
 }

@@ -71,7 +71,6 @@ mod manifest;
 mod report;
 mod scenario;
 pub mod search;
-mod segment;
 mod shard;
 mod strategen;
 

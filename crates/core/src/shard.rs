@@ -68,11 +68,13 @@
 //!   re-dispatches the link's outstanding indices exactly like a closed
 //!   connection, without holding back any other link.
 //! * **Journal segments** — when the campaign has a journal, each worker
-//!   also appends every evaluated outcome to a private checksummed
-//!   segment file (see `segment.rs`). A *controller* crash therefore
-//!   resumes by merging segments instead of re-evaluating in-flight
-//!   ranges: the journal holds what was admitted, the segments hold what
-//!   was evaluated but still on the wire.
+//!   also appends every evaluated outcome, with its counter deltas, to a
+//!   private segment: an ordinary journal file under the campaign's own
+//!   header, scenario digest included (see `journal.rs`). The journal
+//!   holds what was admitted, the segments what was evaluated but still
+//!   on the wire. A *controller* crash therefore resumes without
+//!   re-evaluating in-flight ranges: `--resume` folds the matching
+//!   segments into the journal before round 0 and goes on from there.
 //! * **Bounded reconnect** — a spawned worker that dies is replaced by its
 //!   link thread: the slot is re-spawned and re-handshaked (next
 //!   generation, so a fresh segment file) with exponential backoff plus
@@ -108,9 +110,10 @@ use snake_tcp::{AbortStyle, InvalidFlagPolicy, Profile};
 use crate::campaign::{
     evaluate_watched, Admit, CampaignConfig, ChaosPlan, SharedCtx, StrategyOutcome, WorkQueue,
 };
-use crate::journal::{checksummed_line, counters_json, scenario_digest, verify_line};
+use crate::journal::{
+    checksummed_line, counters_json, scenario_digest, segment_file, verify_line, JournalWriter,
+};
 use crate::scenario::{FlowGroup, FlowRole, ProtocolKind, ScenarioSpec, TopologySpec};
-use crate::segment::{segment_file, SegmentWriter};
 
 /// Wire protocol version; bumped whenever a message shape changes. A
 /// worker refuses a `hello` carrying any other version. Version 3 added
@@ -617,7 +620,7 @@ struct WorkerJob {
     /// How often the worker's heartbeat thread proves liveness.
     heartbeat: Duration,
     /// Journal-segment file to append evaluated outcomes to, when the
-    /// campaign has a journal (crash-tolerant resume; see `segment.rs`).
+    /// campaign has a journal (crash-tolerant resume; see `journal.rs`).
     segment: Option<PathBuf>,
     /// Chaos: stop heartbeating and hang forever after this many
     /// outcomes, so the controller's read deadline is exercised.
@@ -816,9 +819,10 @@ pub fn connect_with_backoff(
 /// `addr` (with bounded retries), handshake, evaluate the strategy ranges
 /// it sends, and stream back one `outcome` message per strategy — while a
 /// heartbeat thread proves liveness and, when the campaign has a journal,
-/// every evaluated outcome is also appended to this worker's journal
-/// segment. Returns when the controller sends `shutdown` or closes the
-/// connection.
+/// every evaluated outcome and its counter deltas are also appended to
+/// this worker's segment: a journal file headed like the controller's, so
+/// a resuming controller can fold it into the campaign journal. Returns
+/// when the controller sends `shutdown` or closes the connection.
 ///
 /// The worker is stateless between ranges and owns no campaign artifacts
 /// beyond its segment file: no journal, no admission.
@@ -870,7 +874,7 @@ pub fn run_shard_worker(addr: &str) -> io::Result<()> {
     // cannot write segments still evaluates correctly; only
     // controller-crash recovery loses precision, never correctness).
     let mut segment = job.segment.as_ref().and_then(|path| {
-        match SegmentWriter::create(path, job.shard, digest, shared.memoize) {
+        match JournalWriter::create(path, &shared.journal_header()) {
             Ok(writer) => Some(writer),
             Err(err) => {
                 eprintln!(
@@ -953,7 +957,7 @@ pub fn run_shard_worker(addr: &str) -> io::Result<()> {
                         // from disk, never the other way around.
                         match segment
                             .as_mut()
-                            .map(|seg| seg.record(index, busy_nanos, &counters, &outcome))
+                            .map(|seg| seg.record_with_counters(&outcome, &counters))
                         {
                             Some(Ok(())) => {
                                 accumulator.counter_add("shard.segments.written", 1);

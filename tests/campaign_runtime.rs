@@ -183,6 +183,34 @@ fn resume_refuses_a_journal_from_a_different_campaign() {
 }
 
 #[test]
+fn resume_refuses_a_journal_from_a_different_scenario() {
+    // More baseline reps change the detection envelope, so every verdict,
+    // yet none of the five named header fields. Only the scenario digest
+    // tells the journal is stale, and resume must refuse it by name.
+    let path = temp_journal("digest-drift");
+    let config = |reps: usize, resume: bool| {
+        CampaignConfig::builder(quick_tcp())
+            .cap(8)
+            .feedback_rounds(1)
+            .retest(false)
+            .baseline_reps(reps)
+            .journal(path.clone())
+            .resume(resume)
+            .build()
+            .expect("valid config")
+    };
+    Campaign::run(config(1, false)).unwrap();
+
+    match Campaign::run(config(3, true)) {
+        Err(CampaignError::JournalMismatch { detail, .. }) => {
+            assert!(detail.contains("scenario digest"), "{detail}");
+        }
+        other => panic!("expected JournalMismatch, got {other:?}"),
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn resume_refuses_a_journal_with_different_memoization() {
     // Memo markers are part of each journaled outcome, so replaying a
     // memoized journal into an unmemoized campaign (or vice versa) would
