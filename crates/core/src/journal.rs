@@ -541,6 +541,19 @@ impl JournalWriter {
     /// journal or a complete new header — never a torn one. The returned
     /// writer keeps appending through the same (renamed) file handle.
     pub fn create(path: &Path, header: &impl ToJson) -> io::Result<JournalWriter> {
+        JournalWriter::create_with(path, header, true)
+    }
+
+    /// Starts a worker segment: [`create`](JournalWriter::create) without
+    /// the fsync before the rename. A segment only speeds up a resume, and
+    /// one torn by a power loss fails the header check and is discarded
+    /// whole, so it does not pay for durability (the sync also makes
+    /// unlinking the segments slow when a finished campaign clears them).
+    pub(crate) fn create_segment(path: &Path, header: &impl ToJson) -> io::Result<JournalWriter> {
+        JournalWriter::create_with(path, header, false)
+    }
+
+    fn create_with(path: &Path, header: &impl ToJson, sync: bool) -> io::Result<JournalWriter> {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp_path = std::path::PathBuf::from(tmp);
@@ -548,7 +561,9 @@ impl JournalWriter {
         let line = checksummed_line(&header.to_json().to_string_compact());
         file.write_all(line.as_bytes())?;
         file.flush()?;
-        file.sync_all()?;
+        if sync {
+            file.sync_all()?;
+        }
         // Renaming moves the inode the handle already points at, so the
         // writer needs no reopen — appends after this land in `path`.
         fs::rename(&tmp_path, path)?;
@@ -1323,23 +1338,25 @@ mod tests {
 
     #[test]
     fn create_leaves_no_temporary_file_behind() {
-        let path = temp_path("atomic");
         let header = header("x", 1);
-        let mut w = JournalWriter::create(&path, &header).unwrap();
-        w.record(&outcome(1)).unwrap();
-        drop(w);
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        assert!(
-            !Path::new(&tmp).exists(),
-            "header temp file must be renamed away"
-        );
-        // The writer kept appending through the renamed handle, so the
-        // final file holds both the header and the outcome.
-        let loaded = load(&path).unwrap();
-        assert!(loaded.header.is_some());
-        assert_eq!(loaded.outcomes.len(), 1);
-        std::fs::remove_file(&path).ok();
+        for create in [JournalWriter::create, JournalWriter::create_segment] {
+            let path = temp_path("atomic");
+            let mut w = create(&path, &header).unwrap();
+            w.record(&outcome(1)).unwrap();
+            drop(w);
+            let mut tmp = path.as_os_str().to_owned();
+            tmp.push(".tmp");
+            assert!(
+                !Path::new(&tmp).exists(),
+                "header temp file must be renamed away"
+            );
+            // The writer kept appending through the renamed handle, so the
+            // final file holds both the header and the outcome.
+            let loaded = load(&path).unwrap();
+            assert!(loaded.header.is_some());
+            assert_eq!(loaded.outcomes.len(), 1);
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     fn campaign_header(digest: u64, memoize: bool) -> CampaignHeader {

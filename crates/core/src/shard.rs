@@ -874,7 +874,7 @@ pub fn run_shard_worker(addr: &str) -> io::Result<()> {
     // cannot write segments still evaluates correctly; only
     // controller-crash recovery loses precision, never correctness).
     let mut segment = job.segment.as_ref().and_then(|path| {
-        match JournalWriter::create(path, &shared.journal_header()) {
+        match JournalWriter::create_segment(path, &shared.journal_header()) {
             Ok(writer) => Some(writer),
             Err(err) => {
                 eprintln!(

@@ -115,6 +115,9 @@ pub struct DccpHost {
     plans: Vec<ConnectPlan>,
     next_ephemeral: u16,
     total_goodput: u64,
+    /// The event buffer `pump` drains, handed back empty after every
+    /// callback so delivering a segment allocates nothing.
+    events: Vec<DccpConnEvent>,
 }
 
 impl DccpHost {
@@ -128,6 +131,7 @@ impl DccpHost {
             plans: Vec::new(),
             next_ephemeral: 40_000,
             total_goodput: 0,
+            events: Vec::new(),
         }
     }
 
@@ -152,7 +156,7 @@ impl DccpHost {
         self.next_ephemeral = self.next_ephemeral.wrapping_add(1).max(40_000);
         let iss: u64 = ctx.rng().gen::<u64>() & ((1 << 48) - 1);
         let mut conn = DccpConnection::client(self.profile.clone(), iss);
-        let mut events = Vec::new();
+        let mut events = std::mem::take(&mut self.events);
         conn.open(&mut events);
         let idx = self.install(conn, port, remote, None);
         self.pump(ctx, idx, events);
@@ -162,7 +166,7 @@ impl DccpHost {
     /// stopped; DCCP has no abortive close short of a raw Reset).
     pub fn close_all(&mut self, ctx: &mut Ctx<'_>) {
         for idx in 0..self.conns.len() {
-            let mut events = Vec::new();
+            let mut events = std::mem::take(&mut self.events);
             self.conns[idx].conn.app_close(ctx.now(), &mut events);
             self.pump(ctx, idx, events);
         }
@@ -221,9 +225,10 @@ impl DccpHost {
         idx
     }
 
-    fn pump(&mut self, ctx: &mut Ctx<'_>, idx: usize, events: Vec<DccpConnEvent>) {
-        let mut queue = std::collections::VecDeque::from(events);
-        while let Some(ev) = queue.pop_front() {
+    fn pump(&mut self, ctx: &mut Ctx<'_>, idx: usize, mut events: Vec<DccpConnEvent>) {
+        let mut next = 0;
+        while let Some(ev) = events.get(next).cloned() {
+            next += 1;
             match ev {
                 DccpConnEvent::Transmit(seg) => {
                     let slot = &self.conns[idx];
@@ -253,9 +258,7 @@ impl DccpHost {
                 DccpConnEvent::Connected => {}
                 DccpConnEvent::Accepted => {
                     if let Some(DccpServerApp::BulkSender { bytes }) = self.conns[idx].app {
-                        let mut more = Vec::new();
-                        self.conns[idx].conn.app_send(bytes, ctx.now(), &mut more);
-                        queue.extend(more);
+                        self.conns[idx].conn.app_send(bytes, ctx.now(), &mut events);
                     }
                 }
                 DccpConnEvent::DeliverData(n) => {
@@ -264,6 +267,8 @@ impl DccpHost {
                 DccpConnEvent::Reset(_) | DccpConnEvent::Finished => {}
             }
         }
+        events.clear();
+        self.events = events;
     }
 }
 
@@ -273,14 +278,8 @@ fn build_packet(src: Addr, dst: Addr, seg: &DccpSeg) -> Packet {
         .seq(seg.seq)
         .ack(seg.ack)
         .ack_reserved(seg.loss_echo)
-        .build();
-    Packet::new(
-        src,
-        dst,
-        Protocol::Dccp,
-        header.into_bytes(),
-        seg.payload_len,
-    )
+        .encode();
+    Packet::new(src, dst, Protocol::Dccp, header, seg.payload_len)
 }
 
 /// Decodes a wire packet, or `None` for malformed ones (short header,
@@ -325,7 +324,7 @@ impl Agent for DccpHost {
         };
         let key = (packet.dst.port, packet.src);
         if let Some(&idx) = self.by_pair.get(&key) {
-            let mut events = Vec::new();
+            let mut events = std::mem::take(&mut self.events);
             self.conns[idx].conn.on_packet(seg, ctx.now(), &mut events);
             self.pump(ctx, idx, events);
             return;
@@ -335,7 +334,7 @@ impl Agent for DccpHost {
                 let iss: u64 = ctx.rng().gen::<u64>() & ((1 << 48) - 1);
                 let conn = DccpConnection::server(self.profile.clone(), iss);
                 let idx = self.install(conn, packet.dst.port, packet.src, Some(app));
-                let mut events = Vec::new();
+                let mut events = std::mem::take(&mut self.events);
                 self.conns[idx].conn.on_packet(seg, ctx.now(), &mut events);
                 self.pump(ctx, idx, events);
                 return;
@@ -364,17 +363,17 @@ impl Agent for DccpHost {
                 }
             }
             KIND_RTO if idx < self.conns.len() && self.conns[idx].rto_gen == gen => {
-                let mut events = Vec::new();
+                let mut events = std::mem::take(&mut self.events);
                 self.conns[idx].conn.on_rto(ctx.now(), &mut events);
                 self.pump(ctx, idx, events);
             }
             KIND_RTX if idx < self.conns.len() && self.conns[idx].rtx_gen == gen => {
-                let mut events = Vec::new();
+                let mut events = std::mem::take(&mut self.events);
                 self.conns[idx].conn.on_rtx(ctx.now(), &mut events);
                 self.pump(ctx, idx, events);
             }
             KIND_TIME_WAIT if idx < self.conns.len() => {
-                let mut events = Vec::new();
+                let mut events = std::mem::take(&mut self.events);
                 self.conns[idx].conn.on_time_wait_expiry(&mut events);
                 self.pump(ctx, idx, events);
             }
@@ -441,12 +440,11 @@ mod tests {
     /// Overwrites the acknowledgment number of client→server packets once
     /// the connection is established (the Acknowledgment-Mung attack,
     /// paper §VI-B.1 — SNAKE applies it per `(OPEN, ACK)` pair).
-    struct AckMungTap;
+    struct AckMungTap(std::sync::Arc<snake_packet::FormatSpec>);
     impl Tap for AckMungTap {
         fn on_packet(&mut self, ctx: &mut TapCtx<'_>, mut packet: Packet, toward_b: bool) {
             if toward_b && ctx.now() > SimTime::from_secs(2) {
-                let spec = snake_packet::dccp::dccp_spec();
-                if let Ok(mut hdr) = spec.parse(packet.header.to_vec()) {
+                if let Ok(mut hdr) = self.0.parse(packet.header.to_vec()) {
                     let _ = hdr.set("ack", (1u64 << 48) - 1);
                     packet.header = hdr.into_bytes().into();
                 }
@@ -465,7 +463,7 @@ mod tests {
         let mut c = DccpHost::new(DccpProfile::linux_3_13());
         c.connect_at(SimTime::ZERO, Addr::new(d.server1, 5001));
         sim.set_agent(d.client1, c);
-        sim.attach_tap(d.proxy_link, AckMungTap);
+        sim.attach_tap(d.proxy_link, AckMungTap(snake_packet::dccp::dccp_spec()));
 
         sim.schedule_control(SimTime::from_secs(5), d.server1, |agent, ctx| {
             let any: &mut dyn std::any::Any = agent;

@@ -171,7 +171,7 @@ impl Impairment {
             .map(|(_, spec)| *spec)
     }
 
-    /// Parses an impairment spec: either a preset name (`lossy`) or a
+    /// Parses an impairment spec: `none`, a preset name (`lossy`), or a
     /// comma-separated `key=value` list:
     ///
     /// * `loss=F` / `dup=F` / `corrupt=F` / `reorder=F` — probabilities as
@@ -180,8 +180,13 @@ impl Impairment {
     /// * `flap=FIRST:DOWN:PERIOD` — outage schedule in seconds.
     ///
     /// `reorder` without an explicit `jitter` defaults to 1 ms of jitter.
+    /// Flap durations are rounded to whole nanoseconds before they are
+    /// checked, so an accepted schedule renders and re-parses unchanged.
     pub fn parse(s: &str) -> Result<Impairment, String> {
         let s = s.trim();
+        if s == "none" {
+            return Ok(Impairment::NONE);
+        }
         if let Some(preset) = Impairment::preset(s) {
             return Ok(preset);
         }
@@ -227,7 +232,9 @@ impl Impairment {
 }
 
 impl fmt::Display for Impairment {
-    /// Round-trippable `key=value` rendering (the manifest uses this).
+    /// Round-trippable rendering (the manifest and the journal header use
+    /// this): `none`, or a `key=value` list that names `jitter` whenever
+    /// reordering is on, so a zero jitter does not re-parse as the default.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_none() {
             return f.write_str("none");
@@ -246,7 +253,7 @@ impl fmt::Display for Impairment {
         if self.reorder_ppm > 0 {
             parts.push(format!("reorder={}", frac(self.reorder_ppm)));
         }
-        if self.jitter > SimDuration::ZERO {
+        if self.jitter > SimDuration::ZERO || self.reorder_ppm > 0 {
             parts.push(format!("jitter={}", self.jitter.as_nanos() as f64 / 1e6));
         }
         if let Some(flap) = &self.flap {
@@ -292,21 +299,21 @@ fn parse_flap(value: &str) -> Result<FlapSpec, String> {
         }
         Ok(v)
     };
-    let first = secs("FIRST", first)?;
-    let down = secs("DOWN", down)?;
-    let period = secs("PERIOD", period)?;
-    if down <= 0.0 {
-        return Err("flap DOWN must be positive".to_owned());
+    let first = SimTime::from_nanos((secs("FIRST", first)? * 1e9).round() as u64);
+    let down_for = SimDuration::from_secs_f64(secs("DOWN", down)?);
+    let period_for = SimDuration::from_secs_f64(secs("PERIOD", period)?);
+    if down_for == SimDuration::ZERO {
+        return Err(format!("flap DOWN must be at least 1 ns (got `{down}` s)"));
     }
-    if period <= down {
+    if period_for <= down_for {
         return Err(format!(
             "flap PERIOD ({period}) must exceed DOWN ({down}) so the link comes back up"
         ));
     }
     Ok(FlapSpec {
-        first_down: SimTime::from_nanos((first * 1e9).round() as u64),
-        down_for: SimDuration::from_secs_f64(down),
-        period: SimDuration::from_secs_f64(period),
+        first_down: first,
+        down_for,
+        period: period_for,
     })
 }
 

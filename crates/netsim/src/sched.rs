@@ -108,6 +108,11 @@ const TICK_SHIFT: u32 = 16;
 const LEVELS: usize = 8;
 /// Slots per level (6 bits of tick per level).
 const SLOTS: usize = 64;
+/// Largest slot buffer (in entries) `advance` hands back to its slot after
+/// draining it, so the next pushes there reuse it instead of reallocating.
+/// Bigger buffers are freed: a burst that filled one slot does not pin its
+/// memory for the rest of the run.
+const SLOT_KEEP_CAP: usize = 8;
 
 #[inline]
 fn tick_of(at: SimTime) -> u64 {
@@ -219,19 +224,20 @@ impl Wheel {
                 .expect("far_len > 0 but every level empty");
             let slot = self.occupancy[level].trailing_zeros() as usize;
             let idx = level * SLOTS + slot;
-            let entries = std::mem::take(&mut self.slots[idx]);
+            let mut entries = std::mem::take(&mut self.slots[idx]);
             self.occupancy[level] &= !(1u64 << slot);
             self.far_len -= entries.len();
             if level == 0 {
                 // A level-0 slot holds exactly one tick; jump to it and
                 // promote everything into the near lane.
                 self.elapsed_tick = (self.elapsed_tick & !63) | slot as u64;
-                for ev in entries {
+                for ev in entries.drain(..) {
                     if let EventKind::TimerFire { handle, .. } = ev.kind {
                         self.timer_locs.insert(handle, TimerLoc::Near);
                     }
                     self.near.push(ev);
                 }
+                self.keep_slot_buf(idx, entries);
                 return;
             }
             // Jump to the start of the slot's tick range (everything
@@ -241,15 +247,26 @@ impl Wheel {
             let width = 6 * level as u32;
             let high = !0u64 << (width + 6);
             self.elapsed_tick = (self.elapsed_tick & high) | ((slot as u64) << width);
-            for ev in entries {
+            for ev in entries.drain(..) {
                 self.push(ev);
             }
+            self.keep_slot_buf(idx, entries);
             // Entries landing exactly on the new elapsed tick went to the
             // near lane; the rest cascaded to lower levels — keep going
             // until the near lane has the next event.
             if !self.near.is_empty() {
                 return;
             }
+        }
+    }
+
+    /// Returns a drained slot buffer to its slot unless it outgrew
+    /// [`SLOT_KEEP_CAP`]. The slot is still empty: cascaded entries land
+    /// at strictly lower levels or in the near heap.
+    fn keep_slot_buf(&mut self, idx: usize, buf: Vec<Scheduled>) {
+        debug_assert!(buf.is_empty() && self.slots[idx].is_empty());
+        if buf.capacity() <= SLOT_KEEP_CAP {
+            self.slots[idx] = buf;
         }
     }
 

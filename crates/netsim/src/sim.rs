@@ -193,7 +193,12 @@ pub struct Simulator {
     /// known outcome. Sticky for the simulator's lifetime, like the event
     /// budget.
     halted: bool,
-    pending: Vec<Command>,
+    /// Emptied command buffers for callbacks to fill. A callback pops
+    /// one and `apply` pushes it back once drained; draining an agent's
+    /// sends can run a tap's callback, which pops a second. The pool thus
+    /// holds one buffer per nesting level, and callbacks stop allocating
+    /// once each has grown to its level's need.
+    cmd_bufs: Vec<Vec<Command>>,
     trace: Option<Trace>,
 }
 
@@ -265,7 +270,7 @@ impl Simulator {
             event_budget: None,
             budget_exhausted: false,
             halted: false,
-            pending: Vec::new(),
+            cmd_bufs: Vec::new(),
             trace: None,
         }
     }
@@ -463,10 +468,8 @@ impl Simulator {
     /// position and slot contents clone verbatim).
     ///
     /// Returns `None` if any installed agent or tap does not implement
-    /// [`Agent::boxed_clone`] / [`Tap::boxed_clone`]. Must not be called
-    /// from inside a callback (no commands may be pending).
+    /// [`Agent::boxed_clone`] / [`Tap::boxed_clone`].
     pub fn fork(&self) -> Option<Simulator> {
-        debug_assert!(self.pending.is_empty(), "fork inside a callback");
         let mut nodes = Vec::with_capacity(self.nodes.len());
         for n in &self.nodes {
             let agent = match &n.agent {
@@ -516,7 +519,7 @@ impl Simulator {
             event_budget: self.event_budget,
             budget_exhausted: self.budget_exhausted,
             halted: self.halted,
-            pending: Vec::new(),
+            cmd_bufs: Vec::new(),
             trace: self.trace.clone(),
         })
     }
@@ -770,7 +773,7 @@ impl Simulator {
         let Some(mut agent) = self.nodes[node.0].agent.take() else {
             return;
         };
-        let mut commands = std::mem::take(&mut self.pending);
+        let mut commands = self.cmd_bufs.pop().unwrap_or_default();
         {
             let mut ctx = Ctx {
                 now: self.now,
@@ -794,7 +797,7 @@ impl Simulator {
         let Some(mut tap) = self.links[link].tap.take() else {
             return;
         };
-        let mut commands = std::mem::take(&mut self.pending);
+        let mut commands = self.cmd_bufs.pop().unwrap_or_default();
         {
             let mut ctx = TapCtx {
                 now: self.now,
@@ -863,10 +866,7 @@ impl Simulator {
                 }
             }
         }
-        // Hand the (now empty) buffer back for reuse.
-        if self.pending.capacity() < commands.capacity() {
-            self.pending = commands;
-        }
+        self.cmd_bufs.push(commands);
     }
 
     /// Sends a packet from `from` toward its destination: looks up the next

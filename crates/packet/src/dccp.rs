@@ -6,11 +6,15 @@
 //! the subheader and REQUEST carries a service code in its place; carrying
 //! the extra 8 bytes uniformly keeps the header description fixed-layout
 //! without changing any protocol behaviour the search can observe.
+//!
+//! As for TCP, the proxy works through the description and the engine
+//! through [`DccpView`] / [`DccpBuilder`], which read and write fixed byte
+//! offsets; `tests/codec_props.rs` ties those offsets to
+//! [`DCCP_HEADER_DESCRIPTION`].
 
 use std::sync::{Arc, OnceLock};
 
-use crate::spec::{read_bits, write_bits};
-use crate::{FieldRef, FormatSpec, Header, PacketError};
+use crate::{FormatSpec, Header, PacketError};
 
 /// The DCCP generic header (plus acknowledgment subheader) in the SNAKE
 /// header description language: 13 fields, 24 bytes.
@@ -32,6 +36,10 @@ header dccp {
     ack          : 48
 }
 ";
+
+/// Length of the DCCP header [`DCCP_HEADER_DESCRIPTION`] lays out, in
+/// bytes.
+pub const DCCP_HEADER_LEN: usize = 24;
 
 /// Returns the shared DCCP [`FormatSpec`] (24-byte header, 13 fields).
 pub fn dccp_spec() -> Arc<FormatSpec> {
@@ -138,7 +146,7 @@ impl std::fmt::Display for DccpPacketType {
 /// Read-only typed view over a DCCP header buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct DccpView<'a> {
-    buf: &'a [u8],
+    buf: &'a [u8; DCCP_HEADER_LEN],
 }
 
 impl<'a> DccpView<'a> {
@@ -149,93 +157,62 @@ impl<'a> DccpView<'a> {
     /// Returns [`PacketError::BufferTooShort`] if `buf` is shorter than 24
     /// bytes.
     pub fn new(buf: &'a [u8]) -> Result<Self, PacketError> {
-        let needed = dccp_spec().byte_len();
-        if buf.len() < needed {
-            return Err(PacketError::BufferTooShort {
-                needed,
+        match buf.first_chunk() {
+            Some(buf) => Ok(DccpView { buf }),
+            None => Err(PacketError::BufferTooShort {
+                needed: DCCP_HEADER_LEN,
                 got: buf.len(),
-            });
+            }),
         }
-        Ok(DccpView { buf })
     }
 
-    /// Reads a field straight from the buffer — `new` validated the
-    /// length once (same rationale as `TcpView::get`).
-    fn get(&self, field: FieldRef) -> u64 {
-        read_bits(self.buf, field.bit_offset, field.bits)
+    fn u16_at(&self, at: usize) -> u16 {
+        u16::from_be_bytes([self.buf[at], self.buf[at + 1]])
+    }
+
+    fn u48_at(&self, at: usize) -> u64 {
+        let mut word = [0u8; 8];
+        word[2..].copy_from_slice(&self.buf[at..at + 6]);
+        u64::from_be_bytes(word)
     }
 
     /// Source port.
     pub fn src_port(&self) -> u16 {
-        self.get(dccp_refs().src_port) as u16
+        self.u16_at(0)
     }
 
     /// Destination port.
     pub fn dst_port(&self) -> u16 {
-        self.get(dccp_refs().dst_port) as u16
+        self.u16_at(2)
     }
 
     /// 48-bit sequence number.
     pub fn seq(&self) -> u64 {
-        self.get(dccp_refs().seq)
+        self.u48_at(10)
     }
 
     /// 48-bit acknowledgment number.
     pub fn ack(&self) -> u64 {
-        self.get(dccp_refs().ack)
+        self.u48_at(18)
     }
 
     /// Checksum field (`0` on every packet the simulation builds).
     pub fn checksum(&self) -> u16 {
-        self.get(dccp_refs().checksum) as u16
+        self.u16_at(6)
     }
 
     /// The reserved bits alongside the acknowledgment number, which the
     /// simulated CCID repurposes as a loss-echo counter.
     pub fn ack_reserved(&self) -> u16 {
-        self.get(dccp_refs().ack_reserved) as u16
+        self.u16_at(16)
     }
 
     /// Packet type, or `None` for a reserved type code (such packets are
-    /// ignored by receivers per RFC 4340 §5.1).
+    /// ignored by receivers per RFC 4340 §5.1). The four bits sit between
+    /// `res` and `x` in byte 8.
     pub fn packet_type(&self) -> Option<DccpPacketType> {
-        DccpPacketType::from_code(self.get(dccp_refs().ptype) as u8)
+        DccpPacketType::from_code((self.buf[8] >> 1) & 0xF)
     }
-}
-
-/// Pre-resolved [`FieldRef`]s for the DCCP fields read per delivered
-/// packet — same rationale as the TCP table: by-name resolution is a
-/// string-keyed hash lookup, too slow for the per-packet path.
-#[derive(Debug, Clone, Copy)]
-struct DccpRefs {
-    src_port: FieldRef,
-    dst_port: FieldRef,
-    data_offset: FieldRef,
-    x: FieldRef,
-    seq: FieldRef,
-    ack: FieldRef,
-    ptype: FieldRef,
-    checksum: FieldRef,
-    ack_reserved: FieldRef,
-}
-
-fn dccp_refs() -> &'static DccpRefs {
-    static REFS: OnceLock<DccpRefs> = OnceLock::new();
-    REFS.get_or_init(|| {
-        let spec = dccp_spec();
-        let f = |name| spec.field(name).expect("dccp spec field");
-        DccpRefs {
-            src_port: f("src_port"),
-            dst_port: f("dst_port"),
-            data_offset: f("data_offset"),
-            x: f("x"),
-            seq: f("seq"),
-            ack: f("ack"),
-            ptype: f("type"),
-            checksum: f("checksum"),
-            ack_reserved: f("ack_reserved"),
-        }
-    })
 }
 
 /// Builder for DCCP headers.
@@ -281,25 +258,27 @@ impl DccpBuilder {
         self
     }
 
-    /// Builds the header bytes (same direct-write hot path as
-    /// `TcpBuilder::build`).
+    /// Encodes the header: data offset 6 words, `x = 1`, checksum and the
+    /// other reserved bits zero. The engine encodes every packet it sends
+    /// through this.
+    pub fn encode(&self) -> [u8; DCCP_HEADER_LEN] {
+        let mut b = [0u8; DCCP_HEADER_LEN];
+        b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        b[4] = (DCCP_HEADER_LEN / 4) as u8;
+        b[8] = (self.packet_type.code() << 1) | 1;
+        b[10..16].copy_from_slice(&self.seq.to_be_bytes()[2..]);
+        b[16..18].copy_from_slice(&self.ack_reserved.to_be_bytes());
+        b[18..24].copy_from_slice(&self.ack.to_be_bytes()[2..]);
+        b
+    }
+
+    /// Encodes the header as a [`Header`] bound to [`dccp_spec`], for
+    /// callers that go on to access fields by name.
     pub fn build(self) -> Header {
-        let spec = dccp_spec();
-        let mut bytes = vec![0u8; spec.byte_len()];
-        let r = dccp_refs();
-        for (field, value) in [
-            (r.src_port, self.src_port as u64),
-            (r.dst_port, self.dst_port as u64),
-            (r.data_offset, (spec.byte_len() / 4) as u64),
-            (r.ptype, self.packet_type.code() as u64),
-            (r.x, 1),
-            (r.seq, self.seq),
-            (r.ack, self.ack),
-            (r.ack_reserved, self.ack_reserved as u64),
-        ] {
-            write_bits(&mut bytes, field.bit_offset, field.bits, value);
-        }
-        spec.parse(bytes).expect("built to spec length")
+        dccp_spec()
+            .parse(self.encode().to_vec())
+            .expect("encoded to spec length")
     }
 }
 

@@ -260,10 +260,10 @@ impl Eq for Header {}
 
 /// Reads `bits` bits starting `bit_offset` bits into `buf`, MSB first.
 ///
-/// Hot path: field reads happen for every header field of every packet an
-/// endpoint or the proxy handles, so this loads the byte window containing
-/// the field as one big-endian word instead of looping per bit.
-pub(crate) fn read_bits(buf: &[u8], bit_offset: u32, bits: u32) -> u64 {
+/// Loads the byte window containing the field as one big-endian word
+/// instead of looping per bit: the proxy reads fields through this for
+/// every packet its rules match.
+fn read_bits(buf: &[u8], bit_offset: u32, bits: u32) -> u64 {
     debug_assert!((1..=64).contains(&bits));
     let first = (bit_offset / 8) as usize;
     let last = ((bit_offset + bits - 1) / 8) as usize;
@@ -286,7 +286,7 @@ pub(crate) fn read_bits(buf: &[u8], bit_offset: u32, bits: u32) -> u64 {
 
 /// Writes `bits` bits of `value` starting `bit_offset` bits into `buf`,
 /// MSB first. Same word-window strategy as [`read_bits`].
-pub(crate) fn write_bits(buf: &mut [u8], bit_offset: u32, bits: u32, value: u64) {
+fn write_bits(buf: &mut [u8], bit_offset: u32, bits: u32, value: u64) {
     debug_assert!((1..=64).contains(&bits));
     let first = (bit_offset / 8) as usize;
     let last = ((bit_offset + bits - 1) / 8) as usize;

@@ -1,13 +1,16 @@
 //! The built-in TCP header description (RFC 793) and typed accessors.
 //!
 //! The header is described field-by-field in the same description language a
-//! user would supply for a new protocol; the typed [`TcpView`] /
-//! [`TcpBuilder`] wrappers are conveniences used by the TCP engine and tests.
+//! user would supply for a new protocol; the proxy parses and mutates it
+//! through that description. The typed [`TcpView`] / [`TcpBuilder`] are the
+//! TCP engine's per-packet codec: the header is fixed-layout, so they read
+//! and write big-endian fields at fixed byte offsets, with no spec lookup
+//! and no allocation. `tests/codec_props.rs` checks every offset against
+//! [`TCP_HEADER_DESCRIPTION`].
 
 use std::sync::{Arc, OnceLock};
 
-use crate::spec::{read_bits, write_bits};
-use crate::{FieldRef, FormatSpec, Header, PacketError};
+use crate::{FormatSpec, Header, PacketError};
 
 /// The TCP header in the SNAKE header description language.
 ///
@@ -35,73 +38,15 @@ header tcp {
 }
 ";
 
+/// Length of the TCP header [`TCP_HEADER_DESCRIPTION`] lays out, in bytes.
+pub const TCP_HEADER_LEN: usize = 20;
+
 /// Returns the shared TCP [`FormatSpec`] (20-byte header, 15 fields).
 pub fn tcp_spec() -> Arc<FormatSpec> {
     static SPEC: OnceLock<Arc<FormatSpec>> = OnceLock::new();
     Arc::clone(SPEC.get_or_init(|| {
         Arc::new(crate::parse_spec(TCP_HEADER_DESCRIPTION).expect("built-in TCP spec is valid"))
     }))
-}
-
-/// Pre-resolved [`FieldRef`]s for every TCP header field the engine reads
-/// per packet. Resolving by name costs a string-keyed hash lookup; the TCP
-/// engine and proxy parse headers for every delivered packet, so the refs
-/// are resolved once and reused.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TcpRefs {
-    pub src_port: FieldRef,
-    pub dst_port: FieldRef,
-    pub seq: FieldRef,
-    pub ack: FieldRef,
-    pub data_offset: FieldRef,
-    pub urg: FieldRef,
-    pub ack_flag: FieldRef,
-    pub psh: FieldRef,
-    pub rst: FieldRef,
-    pub syn: FieldRef,
-    pub fin: FieldRef,
-    pub window: FieldRef,
-    pub checksum: FieldRef,
-    pub urgent_ptr: FieldRef,
-}
-
-pub(crate) fn tcp_refs() -> &'static TcpRefs {
-    static REFS: OnceLock<TcpRefs> = OnceLock::new();
-    REFS.get_or_init(|| {
-        let spec = tcp_spec();
-        let f = |name| spec.field(name).expect("tcp spec field");
-        let refs = TcpRefs {
-            src_port: f("src_port"),
-            dst_port: f("dst_port"),
-            seq: f("seq"),
-            ack: f("ack"),
-            data_offset: f("data_offset"),
-            urg: f("urg"),
-            ack_flag: f("ack_flag"),
-            psh: f("psh"),
-            rst: f("rst"),
-            syn: f("syn"),
-            fin: f("fin"),
-            window: f("window"),
-            checksum: f("checksum"),
-            urgent_ptr: f("urgent_ptr"),
-        };
-        // The per-packet accessors below read and write the six flag bits
-        // as one contiguous window; the spec declares them back to back.
-        let flags = [
-            &refs.urg,
-            &refs.ack_flag,
-            &refs.psh,
-            &refs.rst,
-            &refs.syn,
-            &refs.fin,
-        ];
-        for (i, flag) in flags.into_iter().enumerate() {
-            debug_assert_eq!(flag.bit_offset(), refs.urg.bit_offset() + i as u32);
-            debug_assert_eq!(flag.bits(), 1);
-        }
-        refs
-    })
 }
 
 /// TCP control flags as a compact value type.
@@ -326,7 +271,7 @@ impl std::fmt::Display for TcpPacketType {
 /// Read-only typed view over a TCP header buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpView<'a> {
-    buf: &'a [u8],
+    buf: &'a [u8; TCP_HEADER_LEN],
 }
 
 impl<'a> TcpView<'a> {
@@ -337,67 +282,72 @@ impl<'a> TcpView<'a> {
     /// Returns [`PacketError::BufferTooShort`] if `buf` is shorter than 20
     /// bytes.
     pub fn new(buf: &'a [u8]) -> Result<Self, PacketError> {
-        if buf.len() < tcp_spec().byte_len() {
-            return Err(PacketError::BufferTooShort {
-                needed: tcp_spec().byte_len(),
+        match buf.first_chunk() {
+            Some(buf) => Ok(TcpView { buf }),
+            None => Err(PacketError::BufferTooShort {
+                needed: TCP_HEADER_LEN,
                 got: buf.len(),
-            });
+            }),
         }
-        Ok(TcpView { buf })
     }
 
-    /// Reads a field straight from the buffer. `new` validated the length
-    /// once; going through the spec again would re-check it and bump the
-    /// shared spec's refcount on every field of every delivered packet.
-    fn get(&self, field: FieldRef) -> u64 {
-        read_bits(self.buf, field.bit_offset, field.bits)
+    fn u16_at(&self, at: usize) -> u16 {
+        u16::from_be_bytes([self.buf[at], self.buf[at + 1]])
+    }
+
+    fn u32_at(&self, at: usize) -> u32 {
+        u32::from_be_bytes([
+            self.buf[at],
+            self.buf[at + 1],
+            self.buf[at + 2],
+            self.buf[at + 3],
+        ])
     }
 
     /// Source port.
     pub fn src_port(&self) -> u16 {
-        self.get(tcp_refs().src_port) as u16
+        self.u16_at(0)
     }
 
     /// Destination port.
     pub fn dst_port(&self) -> u16 {
-        self.get(tcp_refs().dst_port) as u16
+        self.u16_at(2)
     }
 
     /// Sequence number.
     pub fn seq(&self) -> u32 {
-        self.get(tcp_refs().seq) as u32
+        self.u32_at(4)
     }
 
     /// Acknowledgment number.
     pub fn ack(&self) -> u32 {
-        self.get(tcp_refs().ack) as u32
+        self.u32_at(8)
     }
 
     /// Header length in 32-bit words (`5` on every packet the simulation
     /// builds; anything else means the field was mutated in flight).
     pub fn data_offset(&self) -> u8 {
-        self.get(tcp_refs().data_offset) as u8
+        self.buf[12] >> 4
     }
 
     /// Receive window.
     pub fn window(&self) -> u16 {
-        self.get(tcp_refs().window) as u16
+        self.u16_at(14)
     }
 
     /// Checksum field (`0` on every packet the simulation builds).
     pub fn checksum(&self) -> u16 {
-        self.get(tcp_refs().checksum) as u16
+        self.u16_at(16)
     }
 
     /// Urgent pointer.
     pub fn urgent_ptr(&self) -> u16 {
-        self.get(tcp_refs().urgent_ptr) as u16
+        self.u16_at(18)
     }
 
-    /// Control flags, read as one six-bit window (URG..FIN are declared
-    /// contiguously — asserted when the refs are resolved).
+    /// Control flags: the low six bits of byte 13, URG first.
     pub fn flags(&self) -> TcpFlags {
-        let word = read_bits(self.buf, tcp_refs().urg.bit_offset, 6);
+        let word = self.buf[13];
         TcpFlags {
             urg: word & 0b10_0000 != 0,
             ack: word & 0b01_0000 != 0,
@@ -466,36 +416,34 @@ impl TcpBuilder {
         self
     }
 
-    /// Builds the header bytes.
-    ///
-    /// Hot path: the engine constructs a header for every segment it
-    /// sends, so fields are written straight into a local buffer (one
-    /// length check at the final `parse`, no per-field spec traffic) and
-    /// the six flag bits go in as a single window write.
-    pub fn build(self) -> Header {
-        let spec = tcp_spec();
-        let mut bytes = vec![0u8; spec.byte_len()];
-        let r = tcp_refs();
+    /// Encodes the header: data offset 5, reserved bits and checksum zero.
+    /// The engine encodes every segment it sends through this.
+    pub fn encode(&self) -> [u8; TCP_HEADER_LEN] {
         let f = &self.flags;
-        let flag_word = ((f.urg as u64) << 5)
-            | ((f.ack as u64) << 4)
-            | ((f.psh as u64) << 3)
-            | ((f.rst as u64) << 2)
-            | ((f.syn as u64) << 1)
-            | (f.fin as u64);
-        for (field, value) in [
-            (r.src_port, self.src_port as u64),
-            (r.dst_port, self.dst_port as u64),
-            (r.seq, self.seq as u64),
-            (r.ack, self.ack as u64),
-            (r.data_offset, 5),
-            (r.window, self.window as u64),
-            (r.urgent_ptr, self.urgent_ptr as u64),
-        ] {
-            write_bits(&mut bytes, field.bit_offset, field.bits, value);
-        }
-        write_bits(&mut bytes, r.urg.bit_offset, 6, flag_word);
-        spec.parse(bytes).expect("built to spec length")
+        let flags = ((f.urg as u8) << 5)
+            | ((f.ack as u8) << 4)
+            | ((f.psh as u8) << 3)
+            | ((f.rst as u8) << 2)
+            | ((f.syn as u8) << 1)
+            | (f.fin as u8);
+        let mut b = [0u8; TCP_HEADER_LEN];
+        b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        b[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        b[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        b[12] = 5 << 4;
+        b[13] = flags;
+        b[14..16].copy_from_slice(&self.window.to_be_bytes());
+        b[18..20].copy_from_slice(&self.urgent_ptr.to_be_bytes());
+        b
+    }
+
+    /// Encodes the header as a [`Header`] bound to [`tcp_spec`], for
+    /// callers that go on to access fields by name.
+    pub fn build(self) -> Header {
+        tcp_spec()
+            .parse(self.encode().to_vec())
+            .expect("encoded to spec length")
     }
 }
 

@@ -127,6 +127,9 @@ pub struct TcpHost {
     next_ephemeral: u16,
     total_delivered: u64,
     malformed_dropped: u64,
+    /// The event buffer `pump` drains, handed back empty after every
+    /// callback so delivering a segment allocates nothing.
+    events: Vec<ConnEvent>,
 }
 
 impl TcpHost {
@@ -141,6 +144,7 @@ impl TcpHost {
             next_ephemeral: 40_000,
             total_delivered: 0,
             malformed_dropped: 0,
+            events: Vec::new(),
         }
     }
 
@@ -168,7 +172,7 @@ impl TcpHost {
         self.next_ephemeral = self.next_ephemeral.wrapping_add(1).max(40_000);
         let iss: u32 = ctx.rng().gen();
         let mut conn = Connection::client(self.profile.clone(), iss);
-        let mut events = Vec::new();
+        let mut events = std::mem::take(&mut self.events);
         conn.open(&mut events);
         let idx = self.install(conn, port, remote, AppKind::ClientDownload);
         self.pump(ctx, idx, events);
@@ -178,7 +182,7 @@ impl TcpHost {
     /// the client process is killed mid-download.
     pub fn abort_all(&mut self, ctx: &mut Ctx<'_>) {
         for idx in 0..self.conns.len() {
-            let mut events = Vec::new();
+            let mut events = std::mem::take(&mut self.events);
             self.conns[idx].conn.app_abort(ctx.now(), &mut events);
             self.pump(ctx, idx, events);
         }
@@ -187,7 +191,7 @@ impl TcpHost {
     /// Gracefully closes every connection.
     pub fn close_all(&mut self, ctx: &mut Ctx<'_>) {
         for idx in 0..self.conns.len() {
-            let mut events = Vec::new();
+            let mut events = std::mem::take(&mut self.events);
             self.conns[idx].conn.app_close(ctx.now(), &mut events);
             self.pump(ctx, idx, events);
         }
@@ -245,9 +249,10 @@ impl TcpHost {
 
     /// Applies a batch of connection events, running any events they in
     /// turn generate until quiescence.
-    fn pump(&mut self, ctx: &mut Ctx<'_>, idx: usize, events: Vec<ConnEvent>) {
-        let mut queue = std::collections::VecDeque::from(events);
-        while let Some(ev) = queue.pop_front() {
+    fn pump(&mut self, ctx: &mut Ctx<'_>, idx: usize, mut events: Vec<ConnEvent>) {
+        let mut next = 0;
+        while let Some(ev) = events.get(next).cloned() {
+            next += 1;
             match ev {
                 ConnEvent::Transmit(seg) => {
                     let slot = &self.conns[idx];
@@ -270,9 +275,7 @@ impl TcpHost {
                 ConnEvent::Connected => {}
                 ConnEvent::Accepted => {
                     if let AppKind::ServerBulk { bytes } = self.conns[idx].app {
-                        let mut more = Vec::new();
-                        self.conns[idx].conn.app_send(bytes, ctx.now(), &mut more);
-                        queue.extend(more);
+                        self.conns[idx].conn.app_send(bytes, ctx.now(), &mut events);
                     }
                 }
                 ConnEvent::DeliverData(n) => {
@@ -291,6 +294,8 @@ impl TcpHost {
                 }
             }
         }
+        events.clear();
+        self.events = events;
     }
 }
 
@@ -302,14 +307,8 @@ fn build_packet(src: Addr, dst: Addr, seg: &Seg) -> Packet {
         .window(seg.window)
         .flags(seg.flags)
         .urgent_ptr(seg.urgent_ptr)
-        .build();
-    Packet::new(
-        src,
-        dst,
-        Protocol::Tcp,
-        header.into_bytes(),
-        seg.payload_len,
-    )
+        .encode();
+    Packet::new(src, dst, Protocol::Tcp, header, seg.payload_len)
 }
 
 /// Decodes a wire packet into a segment, or `None` if the header is
@@ -364,7 +363,7 @@ impl Agent for TcpHost {
         };
         let key = (packet.dst.port, packet.src);
         if let Some(&idx) = self.by_pair.get(&key) {
-            let mut events = Vec::new();
+            let mut events = std::mem::take(&mut self.events);
             self.conns[idx].conn.on_segment(seg, ctx.now(), &mut events);
             self.pump(ctx, idx, events);
             return;
@@ -382,7 +381,7 @@ impl Agent for TcpHost {
                         ServerApp::BulkSender { bytes } => AppKind::ServerBulk { bytes },
                     },
                 );
-                let mut events = Vec::new();
+                let mut events = std::mem::take(&mut self.events);
                 self.conns[idx].conn.on_segment(seg, ctx.now(), &mut events);
                 self.pump(ctx, idx, events);
                 return;
@@ -412,17 +411,17 @@ impl Agent for TcpHost {
                 }
             }
             KIND_RTO if idx < self.conns.len() && self.conns[idx].rto_gen == gen => {
-                let mut events = Vec::new();
+                let mut events = std::mem::take(&mut self.events);
                 self.conns[idx].conn.on_rto(ctx.now(), &mut events);
                 self.pump(ctx, idx, events);
             }
             KIND_TIME_WAIT if idx < self.conns.len() => {
-                let mut events = Vec::new();
+                let mut events = std::mem::take(&mut self.events);
                 self.conns[idx].conn.on_time_wait_expiry(&mut events);
                 self.pump(ctx, idx, events);
             }
             KIND_APP_CLOSE if idx < self.conns.len() => {
-                let mut events = Vec::new();
+                let mut events = std::mem::take(&mut self.events);
                 self.conns[idx].conn.app_close(ctx.now(), &mut events);
                 self.pump(ctx, idx, events);
             }
